@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import vectors
-from .lsh import Family, LshConfig, _row_block_size, hash_matrix, offset_block, projection_block
+from .lsh import Family, LshConfig, _blocks, _to_slots, hash_matrix
 from .vectors import DataVector
 
 __all__ = [
@@ -184,13 +184,8 @@ def mc_collision(
         slots = hash_matrix(mc_cfg, X)
         hits = slots[0] == slots[1]
     else:
-        hits = np.ones(trials, dtype=bool)
-        step = _row_block_size(mc_cfg, 2)
-        for r0 in range(0, trials, step):
-            r1 = min(trials, r0 + step)
-            W = projection_block(mc_cfg, r0, r1)
-            b = offset_block(mc_cfg, r0, r1)
-            codes = np.floor((X @ W.T + b) / cfg.sigma).astype(np.int64)
-            codes = codes.reshape(2, r1 - r0, cfg.power)
+        hits = np.empty(trials, dtype=bool)
+        for r0, r1, W, b, _keys in _blocks(mc_cfg, 2):
+            codes = _to_slots(mc_cfg, X @ W.T, b, None)
             hits[r0:r1] = np.all(codes[0] == codes[1], axis=-1)
     return float(np.mean(hits))

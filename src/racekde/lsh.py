@@ -7,10 +7,14 @@ Three families are supported:
   Gaussian projections.
 * ``l1``   -- p-stable Manhattan hashing with Cauchy projections.
 
-Projections and offsets are never stored. Every component is a pure
-function of (seed, row, concat, dim_index) computed through a counter-based
-64-bit mixer, so a sketch is reproducible from its config alone and sparse
-inputs hash in O(nnz * rows * power) without materializing any matrix.
+Every projection and offset component is a pure function of
+(seed, row, concat, dim_index) computed through a counter-based 64-bit
+mixer, so a sketch is reproducible from its config alone. Dense inputs hash
+against a read-only plan (W, b, fold keys) cached per config in a small LRU,
+for configs whose rows * power * dim fits a 4e6-component cap that also
+bounds the cache's total size; larger configs generate row blocks on every
+call. Sparse inputs generate only their nonzero columns and hash in
+O(nnz * rows * power) without materializing any matrix.
 
 The p-stable code tuples have unbounded range and are folded to a finite
 slot range with a seeded universal-style hash ("rehashing"). The variant
@@ -21,6 +25,8 @@ serialized sketches, since merged sketches must agree on it bit-for-bit.
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Tuple
@@ -215,6 +221,21 @@ def offset_component(cfg: LshConfig, row: int, concat: int) -> float:
     return float(offset_block(cfg, row, row + 1)[concat])
 
 
+def _fold_keys(seed: int, row_start: int, row_stop: int) -> np.ndarray:
+    """Per-row initial fold states for slot rehashing (uint64, one per row)."""
+    rows = np.arange(row_start, row_stop, dtype=np.uint64)
+    return _hash_counter(_base(seed, _TAG_REHASH), rows)
+
+
+def _fold(codes: np.ndarray, keys: np.ndarray, hash_range: int) -> np.ndarray:
+    """Fold (n, rows, p) code tuples into (n, rows) slots, starting each
+    row from its key."""
+    state = np.broadcast_to(keys[None, :], codes.shape[:2]).copy()
+    for j in range(codes.shape[2]):
+        state = _fmix64(state ^ codes[:, :, j].astype(np.uint64))
+    return state % np.uint64(hash_range)
+
+
 def _rehash_fold(codes: np.ndarray, row_start: int, hash_range: int, seed: int) -> np.ndarray:
     """Fold integer code tuples into slots in [0, hash_range).
 
@@ -222,20 +243,8 @@ def _rehash_fold(codes: np.ndarray, row_start: int, hash_range: int, seed: int) 
     result has shape (n, rows). Equal tuples in the same row always map to
     the same slot; distinct tuples collide with probability ~1/hash_range.
     """
-    n, nrows, p = codes.shape
-    rows = np.arange(row_start, row_start + nrows, dtype=np.uint64)
-    state = np.broadcast_to(
-        _hash_counter(_base(seed, _TAG_REHASH), rows)[None, :], (n, nrows)
-    ).copy()
-    for j in range(p):
-        state = _fmix64(state ^ codes[:, :, j].astype(np.uint64))
-    return state % np.uint64(hash_range)
-
-
-def rehash_keys(cfg: LshConfig, row_start: int, row_stop: int) -> np.ndarray:
-    """Per-row initial fold states for slot rehashing (uint64, one per row)."""
-    rows = np.arange(row_start, row_stop, dtype=np.uint64)
-    return _hash_counter(_base(cfg.seed, _TAG_REHASH), rows)
+    keys = _fold_keys(seed, row_start, row_start + codes.shape[1])
+    return _fold(codes, keys, hash_range)
 
 
 def rehash(code: Sequence[int], row: int, hash_range: int, seed: int) -> int:
@@ -246,11 +255,92 @@ def rehash(code: Sequence[int], row: int, hash_range: int, seed: int) -> int:
     return int(_rehash_fold(arr, row, hash_range, seed)[0, 0])
 
 
-def _pack_srp(bits: np.ndarray) -> np.ndarray:
-    """Pack sign bits (n, rows, p) little-endian into slot codes (n, rows)."""
-    p = bits.shape[2]
-    weights = (np.uint64(1) << np.arange(p, dtype=np.uint64))
-    return bits.astype(np.uint64) @ weights
+def _to_slots(
+    cfg: LshConfig,
+    proj: np.ndarray,
+    b: Optional[np.ndarray],
+    keys: Optional[np.ndarray],
+) -> np.ndarray:
+    """The one projection -> slot step of every hash.
+
+    ``proj`` holds the projections (n, m * power) of n points on m
+    consecutive rows, with their offsets ``b`` and fold ``keys``. srp packs
+    the sign bits little-endian into (n, m) slots. l2/l1 floor
+    (proj + b) / sigma into (n, m, power) integer codes and fold them into
+    (n, m) slots, or return the codes unfolded when ``keys`` is None.
+    """
+    n = proj.shape[0]
+    p = cfg.power
+    m = proj.shape[1] // p
+    if cfg.kind is Family.SRP:
+        bits = (proj >= 0.0).reshape(n, m, p)
+        return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(p, dtype=np.uint64))
+    codes = np.floor((proj + b) / cfg.sigma).astype(np.int64).reshape(n, m, p)
+    if keys is None:
+        return codes
+    return _fold(codes, keys, cfg.hash_range)
+
+
+# Projection components held at once: the cap on a generated row block and
+# on the total size of the plan cache.
+_MAX_COMPONENTS = 4_000_000
+
+_HashState = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+
+# Hash plans, least recently used first: the read-only (W, b, fold keys) of
+# every row of a config, for configs whose rows * power * dim fits the cap.
+# Lookups, builds and evictions hold the lock.
+_PLANS: "OrderedDict[LshConfig, _HashState]" = OrderedDict()
+_PLANS_LOCK = threading.Lock()
+
+
+def _generate(
+    cfg: LshConfig,
+    row_start: int,
+    row_stop: int,
+    dim_indices: Optional[np.ndarray] = None,
+) -> _HashState:
+    """Fresh (W, b, fold keys) for rows [row_start, row_stop); b and the
+    keys are None for srp."""
+    W = projection_block(cfg, row_start, row_stop, dim_indices)
+    if cfg.kind is Family.SRP:
+        return W, None, None
+    return W, offset_block(cfg, row_start, row_stop), _fold_keys(cfg.seed, row_start, row_stop)
+
+
+def _plan(cfg: LshConfig) -> Optional[_HashState]:
+    """The cached hash plan of cfg, built on first use; None when cfg is
+    over the cap, whose rows are generated block by block instead."""
+    if cfg.rows * cfg.power * cfg.dim > _MAX_COMPONENTS:
+        return None
+    with _PLANS_LOCK:
+        plan = _PLANS.get(cfg)
+        if plan is not None:
+            _PLANS.move_to_end(cfg)
+            return plan
+        plan = _generate(cfg, 0, cfg.rows)
+        for a in plan:
+            if a is not None:
+                a.flags.writeable = False
+        _PLANS[cfg] = plan
+        total = sum(W.size for W, _, _ in _PLANS.values())
+        while total > _MAX_COMPONENTS:
+            _, (W, _, _) = _PLANS.popitem(last=False)
+            total -= W.size
+        return plan
+
+
+def _rows_state(cfg: LshConfig, row_start: int, row_stop: int) -> _HashState:
+    """(W, b, fold keys) of rows [row_start, row_stop): read-only views of
+    the plan, or freshly generated when cfg is over the cap."""
+    plan = _plan(cfg)
+    if plan is None:
+        return _generate(cfg, row_start, row_stop)
+    W, b, keys = plan
+    p0, p1 = row_start * cfg.power, row_stop * cfg.power
+    if b is None:
+        return W[p0:p1], None, None
+    return W[p0:p1], b[p0:p1], keys[row_start:row_stop]
 
 
 def slots_for_block(
@@ -259,39 +349,43 @@ def slots_for_block(
     W: np.ndarray,
     b: Optional[np.ndarray],
     row_start: int,
+    keys: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Slot indices for a block of rows against a dense point matrix.
 
     X is (n, dim); W, b are the outputs of projection_block / offset_block
-    for rows [row_start, row_start + m). Returns uint64 slots (n, m).
+    for rows [row_start, row_start + m), and ``keys`` their fold keys
+    (derived from the config when omitted). Returns uint64 slots (n, m).
     """
-    n = X.shape[0]
-    m = W.shape[0] // cfg.power
-    proj = X @ W.T
-    if cfg.kind is Family.SRP:
-        bits = proj >= 0.0
-        return _pack_srp(bits.reshape(n, m, cfg.power))
-    codes = np.floor((proj + b) / cfg.sigma).astype(np.int64)
-    return _rehash_fold(codes.reshape(n, m, cfg.power), row_start, cfg.hash_range, cfg.seed)
+    if keys is None and cfg.kind is not Family.SRP:
+        keys = _fold_keys(cfg.seed, row_start, row_start + W.shape[0] // cfg.power)
+    return _to_slots(cfg, X @ W.T, b, keys)
 
 
 def _row_block_size(cfg: LshConfig, n_points: int) -> int:
     # Cap the projection block and the per-chunk slot matrix at a few
     # hundred MB regardless of dim/rows.
-    by_matrix = max(1, int(4e6 / (cfg.power * cfg.dim)))
+    by_matrix = max(1, int(_MAX_COMPONENTS / (cfg.power * cfg.dim)))
     by_points = max(1, int(4e7 / (max(n_points, 1) * cfg.power)))
     return max(1, min(cfg.rows, by_matrix, by_points))
+
+
+def _blocks(cfg: LshConfig, n_points: int = 1) -> Iterator[Tuple]:
+    """Yield (row_start, row_stop, W, b, fold keys) blocks covering all rows."""
+    step = _row_block_size(cfg, n_points)
+    for r0 in range(0, cfg.rows, step):
+        r1 = min(cfg.rows, r0 + step)
+        yield (r0, r1) + _rows_state(cfg, r0, r1)
 
 
 def hash_blocks(
     cfg: LshConfig, n_points: int = 1
 ) -> Iterator[Tuple[int, int, np.ndarray, Optional[np.ndarray]]]:
-    """Yield (row_start, row_stop, W, b) blocks covering all rows."""
-    step = _row_block_size(cfg, n_points)
-    for r0 in range(0, cfg.rows, step):
-        r1 = min(cfg.rows, r0 + step)
-        W = projection_block(cfg, r0, r1)
-        b = None if cfg.kind is Family.SRP else offset_block(cfg, r0, r1)
+    """Yield (row_start, row_stop, W, b) blocks covering all rows.
+
+    The arrays are read-only when they come from the config's cached plan.
+    """
+    for r0, r1, W, b, _keys in _blocks(cfg, n_points):
         yield r0, r1, W, b
 
 
@@ -307,28 +401,19 @@ def hash_matrix(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
             f"expected points of dimension {cfg.dim}, got shape {X.shape}"
         )
     out = np.empty((X.shape[0], cfg.rows), dtype=np.uint64)
-    for r0, r1, W, b in hash_blocks(cfg, X.shape[0]):
-        out[:, r0:r1] = slots_for_block(cfg, X, W, b, r0)
+    for r0, r1, W, b, keys in _blocks(cfg, X.shape[0]):
+        out[:, r0:r1] = slots_for_block(cfg, X, W, b, r0, keys)
     return out
 
 
 def _sparse_slots(cfg: LshConfig, x: DataVector) -> np.ndarray:
     """hash_all for a sparse vector without touching zero coordinates."""
     out = np.empty(cfg.rows, dtype=np.uint64)
-    step = max(1, int(4e6 / max(cfg.power * max(x.values.size, 1), 1)))
+    step = max(1, int(_MAX_COMPONENTS / max(cfg.power * max(x.values.size, 1), 1)))
     for r0 in range(0, cfg.rows, step):
         r1 = min(cfg.rows, r0 + step)
-        W = projection_block(cfg, r0, r1, x.indices)
-        proj = W @ x.values
-        if cfg.kind is Family.SRP:
-            bits = (proj >= 0.0).reshape(1, r1 - r0, cfg.power)
-            out[r0:r1] = _pack_srp(bits)[0]
-        else:
-            b = offset_block(cfg, r0, r1)
-            codes = np.floor((proj + b) / cfg.sigma).astype(np.int64)
-            out[r0:r1] = _rehash_fold(
-                codes.reshape(1, r1 - r0, cfg.power), r0, cfg.hash_range, cfg.seed
-            )[0]
+        W, b, keys = _generate(cfg, r0, r1, x.indices)
+        out[r0:r1] = _to_slots(cfg, (W @ x.values)[None, :], b, keys)[0]
     return out
 
 
@@ -341,6 +426,19 @@ def hash_all(cfg: LshConfig, x: DataVector) -> np.ndarray:
     return hash_matrix(cfg, x.values[None, :])[0]
 
 
+def _row_codes(cfg: LshConfig, x: DataVector, row: int) -> np.ndarray:
+    """Unfolded codes of x for one row: the packed srp code, or the p-tuple."""
+    if x.dim != cfg.dim:
+        raise DimensionMismatchError(f"expected dim {cfg.dim}, got {x.dim}")
+    if not 0 <= row < cfg.rows:
+        raise IndexError("row out of range")
+    if x.is_sparse:
+        W, b, _ = _generate(cfg, row, row + 1, x.indices)
+    else:
+        W, b, _ = _rows_state(cfg, row, row + 1)
+    return _to_slots(cfg, (W @ x.values)[None, :], b, None)[0, 0]
+
+
 def srp_hash(cfg: LshConfig, x: DataVector, row: int) -> int:
     """Packed p-bit sign code of x for one row; bit j is sign(w_j . x) >= 0.
 
@@ -349,33 +447,11 @@ def srp_hash(cfg: LshConfig, x: DataVector, row: int) -> int:
     """
     if cfg.kind is not Family.SRP:
         raise ValueError("srp_hash requires an srp config")
-    if x.dim != cfg.dim:
-        raise DimensionMismatchError(f"expected dim {cfg.dim}, got {x.dim}")
-    if not 0 <= row < cfg.rows:
-        raise IndexError("row out of range")
-    if x.is_sparse:
-        W = projection_block(cfg, row, row + 1, x.indices)
-        proj = W @ x.values
-    else:
-        W = projection_block(cfg, row, row + 1)
-        proj = W @ x.values
-    bits = (proj >= 0.0).reshape(1, 1, cfg.power)
-    return int(_pack_srp(bits)[0, 0])
+    return int(_row_codes(cfg, x, row))
 
 
 def pstable_hash(cfg: LshConfig, x: DataVector, row: int) -> Tuple[int, ...]:
     """p-tuple of floor((w_j . x + b_j) / sigma) codes for one row."""
     if cfg.kind not in (Family.L2, Family.L1):
         raise ValueError("pstable_hash requires an l2 or l1 config")
-    if x.dim != cfg.dim:
-        raise DimensionMismatchError(f"expected dim {cfg.dim}, got {x.dim}")
-    if not 0 <= row < cfg.rows:
-        raise IndexError("row out of range")
-    if x.is_sparse:
-        W = projection_block(cfg, row, row + 1, x.indices)
-    else:
-        W = projection_block(cfg, row, row + 1)
-    proj = W @ x.values
-    b = offset_block(cfg, row, row + 1)
-    codes = np.floor((proj + b) / cfg.sigma).astype(np.int64)
-    return tuple(int(c) for c in codes)
+    return tuple(int(c) for c in _row_codes(cfg, x, row))

@@ -37,14 +37,14 @@ from typing import BinaryIO, Dict, List, Optional, Union
 
 import numpy as np
 
-from . import _accel
 from .lsh import (
     Family,
     LshConfig,
     REHASH_FAMILY_ID,
+    _blocks,
+    _row_block_size,
     hash_all,
-    hash_blocks,
-    rehash_keys,
+    hash_matrix,
     slots_for_block,
 )
 from .vectors import DataVector, DimensionMismatchError
@@ -211,25 +211,12 @@ class RaceSketch:
             )
         n = X.shape[0]
         R = self.config.hash_range
-        fused = (
-            self._counts is not None
-            and self.config.kind is not Family.SRP
-            and _accel.HAVE_NUMBA
-        )
-        chunk = max(1, int(2e7 // max(1, self._block_rows())))
-        for r0, r1, W, b in hash_blocks(self.config, min(n, chunk)):
+        chunk = max(1, int(2e7 // _row_block_size(self.config, 1)))
+        for r0, r1, W, b, keys in _blocks(self.config, min(n, chunk)):
             m = r1 - r0
             local = np.arange(m, dtype=np.uint64) * np.uint64(R)
-            keys = rehash_keys(self.config, r0, r1) if fused else None
             for n0 in range(0, n, chunk):
-                if fused:
-                    proj = X[n0 : n0 + chunk] @ W.T
-                    _accel.accumulate_pstable(
-                        proj, b, self.config.sigma, keys, self.config.power,
-                        R, self._counts[r0:r1],
-                    )
-                    continue
-                slots = slots_for_block(self.config, X[n0 : n0 + chunk], W, b, r0)
+                slots = slots_for_block(self.config, X[n0 : n0 + chunk], W, b, r0, keys)
                 if self._counts is not None:
                     flat = (slots + local[None, :]).astype(np.int64).ravel()
                     inc = np.bincount(flat, minlength=m * R)
@@ -247,11 +234,6 @@ class RaceSketch:
         other = RaceSketch(self.config, self.storage)
         other.add_matrix(X)
         self._subtract(other)
-
-    def _block_rows(self) -> int:
-        from .lsh import _row_block_size
-
-        return _row_block_size(self.config, 1)
 
     def _subtract(self, other: "RaceSketch") -> None:
         if other.items > self.items:
@@ -337,8 +319,6 @@ class RaceSketch:
         """Counters for a batch of dense queries; shape (n, rows)."""
         if self.items < 1:
             raise EmptySketchError("query on an empty sketch")
-        from .lsh import hash_matrix
-
         return self._counters_at(hash_matrix(self.config, Q))
 
     def _counters_at(self, slots: np.ndarray) -> np.ndarray:
@@ -504,28 +484,34 @@ class RaceSketch:
             raise SketchFormatError(f"bad counter width class {width_log2}")
         if storage_code not in (0, 1):
             raise SketchFormatError(f"bad storage code {storage_code}")
-        kind = _KIND_FROM_CODE[kind_code]
-        cfg = LshConfig(
-            kind=kind,
-            dim=dim,
-            sigma=sigma,
-            power=power,
-            rows=rows,
-            hash_range=hash_range,
-            seed=seed,
-        )
         storage = "dense" if storage_code == 0 else "sparse"
-        sketch = cls(cfg, storage)
-        sketch.rehash_family_id = family_id
-        sketch.items = items
         w = 1 << width_log2
         cdtype = np.dtype(f"<u{w}")
         offset = HEADER_SIZE
         end = len(data) - 4
+        # The payload must be able to hold what the header declares before
+        # anything of the declared size is allocated.
         if storage == "dense":
-            need = w * rows * hash_range
-            if end - offset != need:
+            if end - offset != w * rows * hash_range:
                 raise SketchFormatError("truncated or oversized dense payload")
+        elif end - offset < 8 * rows:
+            raise SketchFormatError("truncated sparse payload: too short for its row headers")
+        try:
+            cfg = LshConfig(
+                kind=_KIND_FROM_CODE[kind_code],
+                dim=dim,
+                sigma=sigma,
+                power=power,
+                rows=rows,
+                hash_range=hash_range,
+                seed=seed,
+            )
+        except ValueError as exc:
+            raise SketchFormatError(f"invalid config in header: {exc}") from None
+        sketch = cls(cfg, storage)
+        sketch.rehash_family_id = family_id
+        sketch.items = items
+        if storage == "dense":
             counts = np.frombuffer(data, dtype=cdtype, count=rows * hash_range, offset=offset)
             sketch._counts = counts.reshape(rows, hash_range).astype(np.uint64)
         else:

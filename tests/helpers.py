@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 
 from racekde import DataVector, KernelEval, exact_kde
@@ -56,3 +59,13 @@ def tune_sigma(
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def crafted_file(rows, hash_range, storage_code, payload=bytes(12)):
+    """A CRC-valid l2 sketch file whose header declares rows x hash_range."""
+    header = struct.pack(
+        "<8sHBBIHIQdQQIB3s", b"RACESKCH", 1, 1, 0, 4, 1, rows, hash_range,
+        1.0, 7, 0, 1, storage_code, bytes(3),
+    )
+    body = header + payload
+    return body + struct.pack("<I", zlib.crc32(body))

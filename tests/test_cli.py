@@ -8,6 +8,8 @@ import pytest
 from racekde.cli import main
 from racekde.sketch import RaceSketch
 
+from helpers import crafted_file
+
 
 @pytest.fixture
 def data_dir(tmp_path):
@@ -174,6 +176,10 @@ def test_data_errors_exit_two(data_dir, tmp_path, capsys):
     (tmp_path / "c.bin").write_bytes(bytes(corrupt))
     assert main(["info", str(tmp_path / "c.bin")]) == 2
     capsys.readouterr()
+
+    (tmp_path / "huge.bin").write_bytes(crafted_file(2**20, 2**30, 0))
+    assert main(["info", str(tmp_path / "huge.bin")]) == 2
+    assert "dense payload" in capsys.readouterr().err
 
     wrongdim = tmp_path / "q2.txt"
     wrongdim.write_text("1 2 3 4 5\n")

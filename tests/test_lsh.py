@@ -1,12 +1,20 @@
+import sys
+import threading
+from contextlib import contextmanager
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from racekde.kernels import angular_collision, l2_collision
+from racekde import lsh
+from racekde.kernels import angular_collision, l2_collision, mc_collision
 from racekde.lsh import (
     Family,
     LshConfig,
+    _rehash_fold,
     derive_seed,
     hash_all,
+    hash_blocks,
     hash_matrix,
     offset_block,
     offset_component,
@@ -16,6 +24,7 @@ from racekde.lsh import (
     rehash,
     srp_hash,
 )
+from racekde.sketch import RaceSketch
 from racekde.vectors import DataVector
 
 
@@ -140,8 +149,6 @@ def test_rehash_uniformity():
     tuples = rng.integers(-(2**40), 2**40, size=(10**5, 2))
     tuples = np.unique(tuples, axis=0)
     n = tuples.shape[0] - 1
-    from racekde.lsh import _rehash_fold
-
     slots = _rehash_fold(tuples[:, None, :], 0, 1024, 3)[:, 0]
     hits = np.mean(slots[1:] == slots[:-1])
     p = 1 / 1024
@@ -170,21 +177,179 @@ def test_hash_all_seed_sensitivity():
     assert differs == 100
 
 
+PLAN_MODES = ("cached", "sliced", "streamed")
+
+
+@contextmanager
+def plan_mode(mode):
+    """An empty plan cache. In mode "sliced" the configs below hash in
+    3-row slices of their cached plan; in "streamed" the component cap is
+    cut so they are over it and generate every row block afresh."""
+    with pytest.MonkeyPatch.context() as mp:
+        if mode == "sliced":
+            mp.setattr(lsh, "_row_block_size", lambda cfg, n_points: 3)
+        elif mode == "streamed":
+            mp.setattr(lsh, "_MAX_COMPONENTS", 100)
+        lsh._PLANS.clear()
+        try:
+            yield lsh._PLANS
+        finally:
+            lsh._PLANS.clear()
+
+
+@pytest.fixture
+def plan_cache():
+    with plan_mode("cached") as plans:
+        yield plans
+
+
+def kind_cfg(kind, dim=16, rows=20):
+    if kind == "srp":
+        return LshConfig(kind, dim, 0.0, 2, rows, 4, 3)
+    return LshConfig(kind, dim, 0.8, 2, rows, 32, 3)
+
+
+def fresh_slots(cfg, X, fold=True):
+    """Slots (or raw codes) from freshly generated projection and offset
+    blocks, in the row blocks the library uses."""
+    n, p = X.shape[0], cfg.power
+    step = lsh._row_block_size(cfg, n)
+    out = []
+    for r0 in range(0, cfg.rows, step):
+        r1 = min(cfg.rows, r0 + step)
+        proj = X @ projection_block(cfg, r0, r1).T
+        if cfg.kind is Family.SRP:
+            bits = (proj >= 0.0).reshape(n, r1 - r0, p).astype(np.uint64)
+            out.append((bits << np.arange(p, dtype=np.uint64)).sum(axis=2))
+            continue
+        codes = np.floor((proj + offset_block(cfg, r0, r1)) / cfg.sigma).astype(np.int64)
+        codes = codes.reshape(n, r1 - r0, p)
+        out.append(_rehash_fold(codes, r0, cfg.hash_range, cfg.seed) if fold else codes)
+    return np.concatenate(out, axis=1)
+
+
 @pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
 def test_sparse_dense_hashes_agree(kind):
-    rng = np.random.default_rng(8)
-    if kind == "srp":
-        cfg = LshConfig(kind, 16, 0.0, 2, 20, 4, 3)
-    else:
-        cfg = LshConfig(kind, 16, 0.8, 2, 20, 32, 3)
-    for _ in range(10):
-        dense = rng.normal(size=16)
-        dense[rng.random(16) < 0.6] = 0.0
-        if not dense.any():
-            dense[3] = 1.0
-        idx = np.nonzero(dense)[0]
-        sp = DataVector.sparse(16, idx, dense[idx])
-        assert np.array_equal(hash_all(cfg, sp), hash_all(cfg, DataVector.dense(dense)))
+    cfg = kind_cfg(kind)
+    for mode in PLAN_MODES:
+        rng = np.random.default_rng(8)
+        with plan_mode(mode) as plans:
+            for _ in range(10):
+                dense = rng.normal(size=16)
+                dense[rng.random(16) < 0.6] = 0.0
+                if not dense.any():
+                    dense[3] = 1.0
+                idx = np.nonzero(dense)[0]
+                sp = DataVector.sparse(16, idx, dense[idx])
+                want = fresh_slots(cfg, dense[None, :])[0]
+                assert np.array_equal(hash_all(cfg, sp), want)
+                assert np.array_equal(hash_all(cfg, DataVector.dense(dense)), want)
+            assert (cfg in plans) == (mode != "streamed")
+
+
+@pytest.mark.parametrize("mode", PLAN_MODES)
+@pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
+def test_plan_hashes_match_fresh_blocks(kind, mode):
+    cfg = kind_cfg(kind)
+    X = np.random.default_rng(11).normal(size=(7, 16))
+    with plan_mode(mode):
+        assert np.array_equal(hash_matrix(cfg, X), fresh_slots(cfg, X))
+        for row in (0, 9, cfg.rows - 1):
+            W = projection_block(cfg, row, row + 1)
+            for x in X[:3]:
+                if kind == "srp":
+                    bits = (W @ x >= 0.0).astype(int)
+                    want = int(bits @ (1 << np.arange(2)))
+                    assert srp_hash(cfg, DataVector.dense(x), row) == want
+                else:
+                    codes = np.floor((W @ x + offset_block(cfg, row, row + 1)) / cfg.sigma)
+                    want = tuple(int(c) for c in codes)
+                    assert pstable_hash(cfg, DataVector.dense(x), row) == want
+        if kind != "srp":
+            x, y = X[0], X[0] + 0.3 * X[1]
+            trials = 300
+            codes = fresh_slots(replace(cfg, rows=trials), np.vstack([x, y]), fold=False)
+            want = float(np.mean(np.all(codes[0] == codes[1], axis=-1)))
+            got = mc_collision(cfg, DataVector.dense(x), DataVector.dense(y), trials, rehashed=False)
+            assert got == want
+
+
+def test_plan_is_read_only_and_isolated(plan_cache):
+    cfg = kind_cfg("l2")
+    x = DataVector.dense(np.random.default_rng(12).normal(size=16))
+    before = hash_all(cfg, x)
+    for a in plan_cache[cfg]:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    for _r0, _r1, W, _b in hash_blocks(cfg):
+        with pytest.raises(ValueError):
+            W[0, 0] = 1.0
+    W = projection_block(cfg, 0, cfg.rows)
+    W[...] = 0.0
+    offset_block(cfg, 0, cfg.rows)[...] = 0.0
+    assert np.array_equal(hash_all(cfg, x), before)
+
+
+def test_plan_built_lazily(plan_cache):
+    cfg = kind_cfg("l1")
+    s = RaceSketch(cfg)
+    s.add_matrix(np.random.default_rng(13).normal(size=(5, 16)))
+    blob = s.to_bytes()
+    plan_cache.clear()
+    RaceSketch(cfg)
+    loaded = RaceSketch.from_bytes(blob)
+    loaded.merge(loaded)
+    assert len(plan_cache) == 0
+    sparse = DataVector.sparse(16, [2, 5], [1.0, -0.5])
+    loaded.add(sparse)
+    loaded.estimate(sparse)
+    assert len(plan_cache) == 0
+    loaded.estimate(DataVector.dense(np.ones(16)))
+    assert list(plan_cache) == [cfg]
+
+
+def test_plan_cache_bounded_lru(plan_cache, monkeypatch):
+    monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 2000)
+    x = DataVector.dense(np.ones(16))
+    a, b, c, d, big = (kind_cfg("l2", rows=rows) for rows in (10, 20, 30, 5, 63))
+    for cfg in (a, b, c, a, d, big):  # 320, 640, 960, 160, 2016 components
+        hash_all(cfg, x)
+        assert sum(W.size for W, _, _ in plan_cache.values()) <= lsh._MAX_COMPONENTS
+    # a was used again after b, so b went first; big never fit the cap
+    assert list(plan_cache) == [c, a, d]
+
+
+def test_plan_cache_shared_by_threads(plan_cache, monkeypatch):
+    # More threads than cores hash configs that keep evicting each other.
+    monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 1500)
+    cfgs = [kind_cfg(kind, rows=rows) for kind in ("srp", "l2") for rows in (20, 30)]
+    X = np.random.default_rng(14).normal(size=(3, 16))
+    want = [fresh_slots(cfg, X) for cfg in cfgs]
+    errors = []
+
+    def work(k):
+        try:
+            for i in range(100):
+                j = (i + k) % len(cfgs)
+                if not np.array_equal(hash_matrix(cfgs[j], X), want[j]):
+                    errors.append(f"thread {k}: wrong slots for config {j}")
+        except Exception as exc:  # reported below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sum(W.size for W, _, _ in plan_cache.values()) <= lsh._MAX_COMPONENTS
 
 
 def test_srp_collision_tracks_angle():

@@ -17,6 +17,8 @@ from racekde.sketch import (
 )
 from racekde.vectors import DataVector
 
+from helpers import crafted_file
+
 RNG = np.random.default_rng(42)
 
 
@@ -291,6 +293,19 @@ def test_checksum_rejected():
     data[HEADER_SIZE + 1] ^= 0x01
     with pytest.raises(SketchFormatError):
         RaceSketch.from_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("storage_code", [0, 1])
+def test_huge_declared_grid_rejected_before_allocation(storage_code):
+    data = crafted_file(2**20, 2**30, storage_code)
+    assert len(data) == 78
+    with pytest.raises(SketchFormatError):
+        RaceSketch.from_bytes(data)
+
+
+def test_invalid_header_config_is_format_error():
+    with pytest.raises(SketchFormatError):
+        RaceSketch.from_bytes(crafted_file(0, 16, 0, payload=b""))
 
 
 def test_counter_width_narrows_file():
