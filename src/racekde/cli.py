@@ -290,6 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ConfigMismatchError,
         DimensionMismatchError,
         FileNotFoundError,
+        OverflowError,
     ) as exc:
         print(f"racekde: error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -13,6 +13,12 @@ kernel density; for rehashed families (l2/l1) the estimate is debiased by
 inverting the rehash collision shift. Both estimators combine rows by
 median-of-means for concentration.
 
+Counters live in one of two stores (see ``racekde.counters``): a dense
+(rows, R) array, or sorted flat keys ``row * R + slot`` with a small delta
+of staged single-item updates. Every method below goes through the store's
+interface, and the store changes the memory layout and the file size only,
+never a counter, an estimate or a merge result.
+
 File format (little-endian), see ``serialize``:
 
     magic "RACESKCH" | version u16 | kind u8 | counter-width u8 (log2 bytes)
@@ -21,22 +27,31 @@ File format (little-endian), see ``serialize``:
     | row payloads | crc32 u32
 
 Dense row payload: ``range`` counters of the declared width. Sparse row
-payload: u64 entry count, then (u64 slot, counter) pairs sorted by slot.
-The declared width is the narrowest of {1, 2, 4, 8} bytes that fits the
-largest counter.
+payload: u64 entry count, then (u64 slot, counter) pairs sorted by slot,
+every counter nonzero. The declared width is the narrowest of
+{1, 2, 4, 8} bytes that fits the largest counter. Every row of a valid file
+sums to ``items``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io as _io
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, List, Optional, Union
+from typing import BinaryIO, Optional, Union
 
 import numpy as np
 
+from .counters import (
+    STORES,
+    SketchFormatError,
+    UnmatchedDeletionError,
+    check_key_space,
+    nonzero,
+    tally,
+)
 from .lsh import (
     Family,
     LshConfig,
@@ -65,24 +80,19 @@ _MAGIC = b"RACESKCH"
 _VERSION = 1
 _HEADER = struct.Struct("<8sHBBIHIQdQQIB3s")
 HEADER_SIZE = _HEADER.size  # 62 bytes
+_CRC = struct.Struct("<I")
 
 _KIND_CODES = {Family.SRP: 0, Family.L2: 1, Family.L1: 2}
 _KIND_FROM_CODE = {v: k for k, v in _KIND_CODES.items()}
 
-# Rows are kept dense up to this slot range, sparse dicts beyond it.
+# Rows are kept dense up to this slot range, sparse beyond it.
 DENSE_RANGE_LIMIT = 4096
+
+_STORAGE_FROM_CODE = {cls.code: name for name, cls in STORES.items()}
 
 
 class ConfigMismatchError(ValueError):
     """Raised when merging sketches whose identities differ."""
-
-
-class UnmatchedDeletionError(ValueError):
-    """Raised when a remove would drive a counter or the item count below 0."""
-
-
-class SketchFormatError(ValueError):
-    """Raised for corrupt or unsupported sketch files."""
 
 
 class EmptySketchError(ValueError):
@@ -143,41 +153,64 @@ def _width_bytes(max_counter: int) -> int:
     raise OverflowError("counter exceeds 64 bits")
 
 
+# The header's config fields (kind, width, dim, power, rows, range, sigma,
+# seed) as one span of bytes, the key of the config cache: equal keys are
+# bit-identical configs, which equal floats (0.0 and -0.0) need not be.
+_CONFIG_FIELDS = struct.Struct("<BxIHIQdQ")
+_CONFIG_OFFSET = struct.calcsize("<8sH")
+
+
+@functools.lru_cache(maxsize=64)
+def _header_config(fields: bytes) -> LshConfig:
+    """The validated config of a file header, shared by loads of one config."""
+    kind_code, dim, power, rows, hash_range, sigma, seed = _CONFIG_FIELDS.unpack(fields)
+    check_key_space(rows, hash_range)
+    return LshConfig(_KIND_FROM_CODE[kind_code], dim, sigma, power, rows, hash_range, seed)
+
+
 class RaceSketch:
     """L x R integer counter grid compressing a vector stream.
 
     ``storage`` is "dense", "sparse", or "auto" (dense when the slot range
-    is at most 4096). Storage affects layout and file size only, never the
-    counter values.
+    is at most 4096). A dense sketch keeps a (rows, R) counter array; a
+    sparse one keeps its nonzero counters as sorted flat keys
+    ``row * R + slot`` with a small delta of staged single-item updates.
+    Storage affects layout and file size only, never the counter values.
     """
 
     def __init__(self, config: LshConfig, storage: str = "auto"):
         if storage == "auto":
             storage = "dense" if config.hash_range <= DENSE_RANGE_LIMIT else "sparse"
-        if storage not in ("dense", "sparse"):
+        if storage not in STORES:
             raise ValueError(f"unknown storage mode {storage!r}")
+        check_key_space(config.rows, config.hash_range)
+        store = STORES[storage](config.rows, config.hash_range)
+        self._fill(config, storage, store, 0, REHASH_FAMILY_ID)
+
+    def _fill(self, config, storage, store, items, family_id) -> "RaceSketch":
         self.config = config
         self.storage = storage
-        self.rehash_family_id = REHASH_FAMILY_ID
-        self.items = 0
-        if storage == "dense":
-            self._counts = np.zeros((config.rows, config.hash_range), dtype=np.uint64)
-            self._rows: Optional[List[Dict[int, int]]] = None
-        else:
-            self._counts = None
-            self._rows = [dict() for _ in range(config.rows)]
+        self._store = store
+        self.items = items
+        self.rehash_family_id = family_id
+        return self
+
+    @property
+    def _counts(self) -> np.ndarray:
+        """The (rows, R) counter array of a dense sketch."""
+        return self._store.counts
+
+    def _row_keys(self, slots: np.ndarray) -> np.ndarray:
+        """Flat keys row * R + slot of slots holding one slot per row."""
+        R = self.config.hash_range
+        return slots + np.arange(self.config.rows, dtype=np.uint64) * np.uint64(R)
 
     # ------------------------------------------------------------------ build
 
     def add(self, x: DataVector) -> None:
         """Insert one vector: increments one counter per row and N."""
-        slots = hash_all(self.config, x)
-        if self._counts is not None:
-            self._counts[np.arange(self.config.rows), slots.astype(np.int64)] += np.uint64(1)
-        else:
-            for l, s in enumerate(slots):
-                row = self._rows[l]
-                row[int(s)] = row.get(int(s), 0) + 1
+        keys = self._row_keys(hash_all(self.config, x))
+        self._store.add(keys, np.ones(keys.size, dtype=np.uint64))
         self.items += 1
 
     def remove(self, x: DataVector) -> None:
@@ -185,21 +218,8 @@ class RaceSketch:
         (any touched counter at zero)."""
         if self.items < 1:
             raise UnmatchedDeletionError("remove on an empty sketch")
-        slots = hash_all(self.config, x)
-        if self._counts is not None:
-            idx = (np.arange(self.config.rows), slots.astype(np.int64))
-            if np.any(self._counts[idx] == 0):
-                raise UnmatchedDeletionError("counter underflow: vector not present")
-            self._counts[idx] -= np.uint64(1)
-        else:
-            keys = [int(s) for s in slots]
-            if any(self._rows[l].get(s, 0) == 0 for l, s in enumerate(keys)):
-                raise UnmatchedDeletionError("counter underflow: vector not present")
-            for l, s in enumerate(keys):
-                row = self._rows[l]
-                row[s] -= 1
-                if row[s] == 0:
-                    del row[s]
+        keys = self._row_keys(hash_all(self.config, x))
+        self._store.subtract(keys, np.ones(keys.size, dtype=np.uint64))
         self.items -= 1
 
     def add_matrix(self, X: np.ndarray) -> None:
@@ -217,16 +237,7 @@ class RaceSketch:
             local = np.arange(m, dtype=np.uint64) * np.uint64(R)
             for n0 in range(0, n, chunk):
                 slots = slots_for_block(self.config, X[n0 : n0 + chunk], W, b, r0, keys)
-                if self._counts is not None:
-                    flat = (slots + local[None, :]).astype(np.int64).ravel()
-                    inc = np.bincount(flat, minlength=m * R)
-                    self._counts[r0:r1] += inc.reshape(m, R).astype(np.uint64)
-                else:
-                    for l in range(m):
-                        vals, cnts = np.unique(slots[:, l], return_counts=True)
-                        row = self._rows[r0 + l]
-                        for s, c in zip(vals, cnts):
-                            row[int(s)] = row.get(int(s), 0) + int(c)
+                self._store.add(*tally(slots + local[None, :], r0 * R, m * R))
         self.items += n
 
     def remove_matrix(self, X: np.ndarray) -> None:
@@ -238,27 +249,14 @@ class RaceSketch:
     def _subtract(self, other: "RaceSketch") -> None:
         if other.items > self.items:
             raise UnmatchedDeletionError("removing more items than present")
-        if self._counts is not None:
-            theirs = other._dense_counts()
-            if np.any(self._counts < theirs):
-                raise UnmatchedDeletionError("counter underflow: vectors not present")
-            self._counts -= theirs
-        else:
-            for l, row in enumerate(other._iter_rows()):
-                mine = self._rows[l]
-                if any(mine.get(s, 0) < c for s, c in row.items()):
-                    raise UnmatchedDeletionError("counter underflow: vectors not present")
-            for l, row in enumerate(other._iter_rows()):
-                mine = self._rows[l]
-                for s, c in row.items():
-                    mine[s] -= c
-                    if mine[s] == 0:
-                        del mine[s]
+        self._store.subtract(*other._store.counters())
         self.items -= other.items
 
     # ------------------------------------------------------------------ merge
 
     def _check_mergeable(self, other: "RaceSketch") -> None:
+        if self.config == other.config and self.rehash_family_id == other.rehash_family_id:
+            return
         for field in dataclasses.fields(LshConfig):
             a = getattr(self.config, field.name)
             b = getattr(other.config, field.name)
@@ -273,38 +271,22 @@ class RaceSketch:
             )
 
     def merge(self, other: "RaceSketch") -> "RaceSketch":
-        """Sketch of the combined streams: elementwise counter sum."""
+        """Sketch of the combined streams: elementwise counter sum.
+
+        Raises OverflowError when a counter or the item count would exceed
+        64 bits.
+        """
         self._check_mergeable(other)
-        out = RaceSketch(self.config, self.storage)
-        if out._counts is not None:
-            out._counts = self._counts + other._dense_counts()
-        else:
-            for l, (mine, theirs) in enumerate(
-                zip(self._iter_rows(), other._iter_rows())
-            ):
-                row = dict(mine)
-                for s, c in theirs.items():
-                    row[s] = row.get(s, 0) + c
-                out._rows[l] = row
-        out.items = self.items + other.items
-        return out
+        items = self.items + other.items
+        if items >= 2**64:
+            raise OverflowError("item count exceeds 64 bits")
+        store = self._store.merged(other._store)
+        return RaceSketch.__new__(RaceSketch)._fill(
+            self.config, self.storage, store, items, self.rehash_family_id
+        )
 
     def _dense_counts(self) -> np.ndarray:
-        if self._counts is not None:
-            return self._counts
-        out = np.zeros((self.config.rows, self.config.hash_range), dtype=np.uint64)
-        for l, row in enumerate(self._rows):
-            for s, c in row.items():
-                out[l, s] = c
-        return out
-
-    def _iter_rows(self):
-        if self._rows is not None:
-            yield from self._rows
-        else:
-            for l in range(self.config.rows):
-                nz = np.nonzero(self._counts[l])[0]
-                yield {int(s): int(self._counts[l, s]) for s in nz}
+        return self._store.dense()
 
     # ------------------------------------------------------------------ query
 
@@ -322,15 +304,7 @@ class RaceSketch:
         return self._counters_at(hash_matrix(self.config, Q))
 
     def _counters_at(self, slots: np.ndarray) -> np.ndarray:
-        if self._counts is not None:
-            return self._counts[
-                np.arange(self.config.rows)[None, :], slots.astype(np.int64)
-            ]
-        out = np.zeros(slots.shape, dtype=np.uint64)
-        for i in range(slots.shape[0]):
-            for l in range(self.config.rows):
-                out[i, l] = self._rows[l].get(int(slots[i, l]), 0)
-        return out
+        return self._store.gather(self._row_keys(slots))
 
     def _group_means(self, counters: np.ndarray, groups: int) -> np.ndarray:
         L = self.config.rows
@@ -383,27 +357,15 @@ class RaceSketch:
 
     def nonzero_fraction(self) -> float:
         total = self.config.rows * self.config.hash_range
-        if self._counts is not None:
-            nz = int(np.count_nonzero(self._counts))
-        else:
-            nz = sum(len(row) for row in self._rows)
-        return nz / total
+        return int(np.count_nonzero(self._store.counters()[1])) / total
 
     def _counter_width(self) -> int:
-        if self._counts is not None:
-            peak = int(self._counts.max()) if self._counts.size else 0
-        else:
-            peak = max((max(row.values(), default=0) for row in self._rows), default=0)
-        return _width_bytes(peak)
+        counts = self._store.counters()[1]
+        return _width_bytes(int(np.maximum.reduce(counts)) if counts.size else 0)
 
     def memory_bytes(self) -> int:
         """Exact size in bytes of the serialized representation."""
-        w = self._counter_width()
-        if self.storage == "dense":
-            payload = w * self.config.rows * self.config.hash_range
-        else:
-            nnz = sum(len(row) for row in self._rows)
-            payload = 8 * self.config.rows + (8 + w) * nnz
+        payload = self._store.payload_size(self._counter_width())
         return HEADER_SIZE + payload + 4  # trailing crc32
 
     # ------------------------------------------------------------ serialization
@@ -423,25 +385,12 @@ class RaceSketch:
             self.config.seed,
             self.items,
             self.rehash_family_id,
-            0 if self.storage == "dense" else 1,
+            self._store.code,
             b"\x00\x00\x00",
         )
-        buf = _io.BytesIO()
-        buf.write(header)
-        cdtype = np.dtype(f"<u{w}")
-        if self.storage == "dense":
-            buf.write(np.ascontiguousarray(self._dense_counts().astype(cdtype)).tobytes())
-        else:
-            pair = np.dtype([("slot", "<u8"), ("count", cdtype)])
-            for row in self._iter_rows():
-                slots = sorted(row)
-                buf.write(struct.pack("<Q", len(slots)))
-                arr = np.empty(len(slots), dtype=pair)
-                arr["slot"] = slots
-                arr["count"] = [row[s] for s in slots]
-                buf.write(arr.tobytes())
-        body = buf.getvalue()
-        return body + struct.pack("<I", zlib.crc32(body))
+        payload = self._store.payload(w)
+        crc = zlib.crc32(payload, zlib.crc32(header))
+        return b"".join((header, payload, _CRC.pack(crc)))
 
     def serialize(self, sink: Union[BinaryIO, str]) -> None:
         data = self.to_bytes()
@@ -455,89 +404,31 @@ class RaceSketch:
     def from_bytes(cls, data: bytes) -> "RaceSketch":
         if len(data) < HEADER_SIZE + 4:
             raise SketchFormatError("truncated sketch: shorter than header")
-        (
-            magic,
-            version,
-            kind_code,
-            width_log2,
-            dim,
-            power,
-            rows,
-            hash_range,
-            sigma,
-            seed,
-            items,
-            family_id,
-            storage_code,
-            _reserved,
-        ) = _HEADER.unpack_from(data, 0)
+        (magic, version, kind_code, width_log2, _, _, rows, hash_range, _, _, items,
+         family_id, storage_code, _) = _HEADER.unpack_from(data, 0)
         if magic != _MAGIC:
             raise SketchFormatError(f"bad magic {magic!r}")
         if version != _VERSION:
             raise SketchFormatError(f"unsupported version {version}")
-        (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-        if zlib.crc32(data[:-4]) != stored_crc:
+        (stored_crc,) = _CRC.unpack_from(data, len(data) - 4)
+        if zlib.crc32(memoryview(data)[:-4]) != stored_crc:
             raise SketchFormatError("checksum mismatch")
         if kind_code not in _KIND_FROM_CODE:
             raise SketchFormatError(f"unknown family code {kind_code}")
         if width_log2 not in (0, 1, 2, 3):
             raise SketchFormatError(f"bad counter width class {width_log2}")
-        if storage_code not in (0, 1):
+        if storage_code not in _STORAGE_FROM_CODE:
             raise SketchFormatError(f"bad storage code {storage_code}")
-        storage = "dense" if storage_code == 0 else "sparse"
+        storage = _STORAGE_FROM_CODE[storage_code]
         w = 1 << width_log2
-        cdtype = np.dtype(f"<u{w}")
-        offset = HEADER_SIZE
-        end = len(data) - 4
-        # The payload must be able to hold what the header declares before
-        # anything of the declared size is allocated.
-        if storage == "dense":
-            if end - offset != w * rows * hash_range:
-                raise SketchFormatError("truncated or oversized dense payload")
-        elif end - offset < 8 * rows:
-            raise SketchFormatError("truncated sparse payload: too short for its row headers")
         try:
-            cfg = LshConfig(
-                kind=_KIND_FROM_CODE[kind_code],
-                dim=dim,
-                sigma=sigma,
-                power=power,
-                rows=rows,
-                hash_range=hash_range,
-                seed=seed,
-            )
+            cfg = _header_config(bytes(data[_CONFIG_OFFSET : _CONFIG_OFFSET + _CONFIG_FIELDS.size]))
         except ValueError as exc:
             raise SketchFormatError(f"invalid config in header: {exc}") from None
-        sketch = cls(cfg, storage)
-        sketch.rehash_family_id = family_id
-        sketch.items = items
-        if storage == "dense":
-            counts = np.frombuffer(data, dtype=cdtype, count=rows * hash_range, offset=offset)
-            sketch._counts = counts.reshape(rows, hash_range).astype(np.uint64)
-        else:
-            pair = np.dtype([("slot", "<u8"), ("count", cdtype)])
-            for l in range(rows):
-                if end - offset < 8:
-                    raise SketchFormatError("truncated sparse row header")
-                (n_entries,) = struct.unpack_from("<Q", data, offset)
-                offset += 8
-                need = n_entries * pair.itemsize
-                if end - offset < need:
-                    raise SketchFormatError("truncated sparse row payload")
-                arr = np.frombuffer(data, dtype=pair, count=n_entries, offset=offset)
-                offset += need
-                slots = arr["slot"]
-                if n_entries and (
-                    np.any(np.diff(slots.astype(np.int64)) <= 0)
-                    or int(slots[-1]) >= hash_range
-                ):
-                    raise SketchFormatError("sparse slots not sorted or out of range")
-                sketch._rows[l] = {
-                    int(s): int(c) for s, c in zip(slots, arr["count"])
-                }
-            if offset != end:
-                raise SketchFormatError("trailing bytes after sparse payload")
-        return sketch
+        store = STORES[storage].load(data, HEADER_SIZE, len(data) - 4, rows, hash_range, w)
+        if not store.rows_sum_to(items, w):
+            raise SketchFormatError(f"row sums disagree with the header item count {items}")
+        return cls.__new__(cls)._fill(cfg, storage, store, items, family_id)
 
     @classmethod
     def deserialize(cls, source: Union[BinaryIO, bytes, str]) -> "RaceSketch":
@@ -561,9 +452,11 @@ class RaceSketch:
             or self.items != other.items
         ):
             return False
-        if self._counts is not None and other._counts is not None:
-            return bool(np.array_equal(self._counts, other._counts))
-        return all(a == b for a, b in zip(self._iter_rows(), other._iter_rows()))
+        keys, counts = nonzero(*self._store.counters())
+        their_keys, their_counts = nonzero(*other._store.counters())
+        return bool(
+            np.array_equal(keys, their_keys) and np.array_equal(counts, their_counts)
+        )
 
     def __repr__(self) -> str:
         return (

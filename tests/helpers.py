@@ -61,11 +61,18 @@ def tune_sigma(
     return 0.5 * (lo + hi)
 
 
-def crafted_file(rows, hash_range, storage_code, payload=bytes(12)):
+def crafted_file(rows, hash_range, storage_code, payload=bytes(12), items=0, width_log2=0):
     """A CRC-valid l2 sketch file whose header declares rows x hash_range."""
     header = struct.pack(
-        "<8sHBBIHIQdQQIB3s", b"RACESKCH", 1, 1, 0, 4, 1, rows, hash_range,
-        1.0, 7, 0, 1, storage_code, bytes(3),
+        "<8sHBBIHIQdQQIB3s", b"RACESKCH", 1, 1, width_log2, 4, 1, rows, hash_range,
+        1.0, 7, items, 1, storage_code, bytes(3),
     )
     body = header + payload
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_items(data, items):
+    """A sketch file with its header item count rewritten and its CRC redone."""
+    body = bytearray(data[:-4])
+    struct.pack_into("<Q", body, 46, items)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from racekde.cli import main
+from racekde.lsh import LshConfig
 from racekde.sketch import RaceSketch
 
-from helpers import crafted_file
+from helpers import crafted_file, with_items
 
 
 @pytest.fixture
@@ -180,6 +181,27 @@ def test_data_errors_exit_two(data_dir, tmp_path, capsys):
     (tmp_path / "huge.bin").write_bytes(crafted_file(2**20, 2**30, 0))
     assert main(["info", str(tmp_path / "huge.bin")]) == 2
     assert "dense payload" in capsys.readouterr().err
+
+    (tmp_path / "items.bin").write_bytes(with_items(out.read_bytes(), 999))
+    assert main(["info", str(tmp_path / "items.bin")]) == 2
+    assert "row sums" in capsys.readouterr().err
+    rc = main([
+        "query", "--sketch", str(tmp_path / "items.bin"),
+        "--queries", str(data_dir / "queries.txt"),
+        "--output", str(tmp_path / "q.csv"),
+    ])
+    assert rc == 2
+    assert "row sums" in capsys.readouterr().err
+
+    full, one = (RaceSketch(LshConfig("l2", 4, 1.5, 1, 1, 16, 0)) for _ in range(2))
+    full._counts[0, 3] = full.items = 2**64 - 1
+    one._counts[0, 3] = one.items = 1
+    full.serialize(str(tmp_path / "full.bin"))
+    one.serialize(str(tmp_path / "one.bin"))
+    rc = main(["merge", str(tmp_path / "full.bin"), str(tmp_path / "one.bin"),
+               "--output", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert "64 bits" in capsys.readouterr().err
 
     wrongdim = tmp_path / "q2.txt"
     wrongdim.write_text("1 2 3 4 5\n")

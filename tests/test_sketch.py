@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from racekde.sketch import (
 )
 from racekde.vectors import DataVector
 
-from helpers import crafted_file
+from helpers import crafted_file, with_items
 
 RNG = np.random.default_rng(42)
 
@@ -266,6 +267,14 @@ def test_roundtrip_dense_and_sparse():
         assert back.storage == storage
 
 
+def test_roundtrip_keeps_signed_zero_sigma():
+    plus, minus = RaceSketch(srp_cfg()), RaceSketch(LshConfig("srp", 6, -0.0, 3, 20, 8, 1))
+    blobs = [plus.to_bytes(), minus.to_bytes()]
+    assert blobs[0] != blobs[1]
+    for data in blobs + blobs:
+        assert RaceSketch.from_bytes(data).to_bytes() == data
+
+
 def test_roundtrip_via_stream():
     s = RaceSketch(srp_cfg())
     s.add(rand_vec())
@@ -306,6 +315,81 @@ def test_huge_declared_grid_rejected_before_allocation(storage_code):
 def test_invalid_header_config_is_format_error():
     with pytest.raises(SketchFormatError):
         RaceSketch.from_bytes(crafted_file(0, 16, 0, payload=b""))
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("items", [999, 9])
+def test_items_must_match_row_sums(storage, items):
+    s = RaceSketch(l2_cfg(rows=5, hash_range=64), storage)
+    for _ in range(10):
+        s.add(rand_vec())
+    data = s.to_bytes()
+    assert RaceSketch.from_bytes(with_items(data, 10)) == s
+    with pytest.raises(SketchFormatError, match="row sums"):
+        RaceSketch.from_bytes(with_items(data, items))
+
+
+@pytest.mark.parametrize("storage_code", [0, 1])
+def test_row_sum_check_is_wrap_free(storage_code):
+    def one_row(a, b):
+        if storage_code == 0:
+            return struct.pack("<2Q", a, b)
+        return struct.pack("<5Q", 2, 0, a, 1, b)
+
+    # 2**63 + (2**63 + 5) wraps a uint64 sum to exactly 5.
+    wrapped = crafted_file(1, 2, storage_code, one_row(2**63, 2**63 + 5), 5, 3)
+    with pytest.raises(SketchFormatError, match="row sums"):
+        RaceSketch.from_bytes(wrapped)
+    full = crafted_file(1, 2, storage_code, one_row(2**63, 2**63 - 1), 2**64 - 1, 3)
+    assert RaceSketch.from_bytes(full).items == 2**64 - 1
+
+
+def _sparse_row(*pairs):
+    return struct.pack("<Q", len(pairs)) + b"".join(struct.pack("<QB", *p) for p in pairs)
+
+
+@pytest.mark.parametrize(
+    "rows, payload, message",
+    [
+        (1, _sparse_row((1, 2), (0, 1)), "not sorted"),
+        (1, _sparse_row((0, 2), (0, 1)), "not sorted"),
+        (1, _sparse_row((0, 2), (4, 1)), "out of range"),
+        (1, _sparse_row((0, 3), (1, 0)), "zero count"),
+        (1, _sparse_row((0, 3))[:-1], "truncated sparse row payload"),
+        (2, _sparse_row((0, 3)) + bytes(4), "truncated sparse row header"),
+        (1, _sparse_row((0, 3)) + bytes(1), "trailing bytes"),
+    ],
+    ids=["unsorted", "repeated", "slot-range", "zero-count", "short-row", "short-header", "trailing"],
+)
+def test_malformed_sparse_payload_rejected(rows, payload, message):
+    with pytest.raises(SketchFormatError, match=message):
+        RaceSketch.from_bytes(crafted_file(rows, 4, 1, payload, items=3))
+
+
+def test_merge_counter_overflow_raises():
+    cfg = l2_cfg(rows=2, hash_range=4)
+    full, one = RaceSketch(cfg), RaceSketch(cfg)
+    full._counts[0, 0] = 2**64 - 1
+    one._counts[0, 0] = 1
+    with pytest.raises(OverflowError, match="counter"):
+        full.merge(one)
+    sparse = RaceSketch(cfg, "sparse").merge(full)
+    with pytest.raises(OverflowError, match="counter"):
+        sparse.merge(one)
+    assert full._counts[0, 0] == 2**64 - 1
+    assert sparse == full
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_merge_item_count_overflow_raises(storage):
+    cfg = l2_cfg(rows=1, hash_range=4)
+    full, one = RaceSketch(cfg), RaceSketch(cfg)
+    full._counts[0, 1] = full.items = 2**64 - 1
+    one._counts[0, 1] = one.items = 1
+    full = RaceSketch(cfg, storage).merge(full)
+    assert RaceSketch.from_bytes(full.to_bytes()) == full
+    with pytest.raises(OverflowError, match="item count"):
+        full.merge(one)
 
 
 def test_counter_width_narrows_file():
