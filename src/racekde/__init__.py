@@ -22,7 +22,15 @@ from .sketch import (
     SketchFormatError,
     UnmatchedDeletionError,
 )
-from .vectors import DataVector, DimensionMismatchError, angle, dot, l1_distance, l2_distance
+from .vectors import (
+    DataVector,
+    DimensionMismatchError,
+    NonFiniteInputError,
+    angle,
+    dot,
+    l1_distance,
+    l2_distance,
+)
 
 __all__ = [
     "DataVector",
@@ -48,6 +56,7 @@ __all__ = [
     "SketchFormatError",
     "UnmatchedDeletionError",
     "DimensionMismatchError",
+    "NonFiniteInputError",
     "DatasetFormatError",
     "EvalRecord",
     "read_dense",

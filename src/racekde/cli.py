@@ -94,6 +94,15 @@ class _UsageError(Exception):
     pass
 
 
+def _from_flags(build, **fields):
+    """build(**fields); a ValueError, an invalid combination of flags, is a
+    usage error."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def _reader(path: str, fmt: str, dim: Optional[int]):
     if fmt == "sparse":
         if dim is None:
@@ -112,7 +121,8 @@ def cmd_sketch(args) -> int:
     sketch = None
     for x in stream:
         if sketch is None:
-            cfg = LshConfig(
+            cfg = _from_flags(
+                LshConfig,
                 kind=Family(args.kind),
                 dim=x.dim,
                 sigma=args.sigma if args.kind != "srp" else 0.0,
@@ -121,7 +131,7 @@ def cmd_sketch(args) -> int:
                 hash_range=_default_range(args.kind, args.power, args.hash_range),
                 seed=args.seed,
             )
-            sketch = RaceSketch(cfg, args.storage)
+            sketch = _from_flags(RaceSketch, config=cfg, storage=args.storage)
         sketch.add(x)
     if sketch is None:
         raise DatasetFormatError(0, "input contains no vectors")
@@ -210,7 +220,8 @@ def cmd_eval(args) -> int:
     dim = dataset[0].dim
     queries = _load_queries(args)
     hash_range = _default_range(args.kind, args.power, args.hash_range)
-    kernel = KernelEval(
+    kernel = _from_flags(
+        KernelEval,
         kind=Family(args.kind),
         sigma=args.sigma if args.kind != "srp" else None,
         power=args.power,
@@ -228,7 +239,8 @@ def cmd_eval(args) -> int:
                         raise _UsageError(
                             f"budget {budget} too small for range {hash_range}"
                         )
-                    cfg = LshConfig(
+                    cfg = _from_flags(
+                        LshConfig,
                         kind=Family(args.kind),
                         dim=dim,
                         sigma=args.sigma if args.kind != "srp" else 0.0,

@@ -9,6 +9,7 @@ Two text formats are supported:
   0-based in memory; an index of 0 is a format error.
 
 Readers stream: they yield one vector at a time and never buffer the file.
+Every value must be finite: ``nan`` or ``inf`` is a format error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .vectors import DataVector
+from .vectors import DataVector, NonFiniteInputError
 
 __all__ = ["DatasetFormatError", "EvalRecord", "read_dense", "read_sparse", "write_eval_csv"]
 
@@ -42,6 +43,13 @@ def _lines(source: Source):
         yield from source
 
 
+def _vector(lineno: int, make, *args) -> DataVector:
+    try:
+        return make(*args)
+    except NonFiniteInputError as exc:
+        raise DatasetFormatError(lineno, str(exc)) from None
+
+
 def read_dense(source: Source, dim: Optional[int] = None) -> Iterator[DataVector]:
     """Yield dense vectors from a dense text source.
 
@@ -62,7 +70,7 @@ def read_dense(source: Source, dim: Optional[int] = None) -> Iterator[DataVector
             raise DatasetFormatError(
                 lineno, f"expected {dim} entries, found {values.size}"
             )
-        yield DataVector.dense(values)
+        yield _vector(lineno, DataVector.dense, values)
 
 
 def read_sparse(source: Source, dim: int) -> Iterator[DataVector]:
@@ -100,7 +108,7 @@ def read_sparse(source: Source, dim: int) -> Iterator[DataVector]:
             if val != 0.0:
                 indices.append(idx - 1)
                 values.append(val)
-        yield DataVector.sparse(dim, indices, values)
+        yield _vector(lineno, DataVector.sparse, dim, indices, values)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import erf
 
 from . import vectors
 from .lsh import Family, LshConfig, _blocks, _to_slots, hash_matrix
@@ -48,6 +47,8 @@ def angular_collision(theta: ArrayLike) -> ArrayLike:
 
 def l2_collision(c: ArrayLike, sigma: float) -> ArrayLike:
     """Collision probability of one Euclidean p-stable hash at distance c."""
+    from scipy.special import erf  # slow to import; only this kernel needs it
+
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     c_arr = np.asarray(c, dtype=np.float64)

@@ -10,11 +10,16 @@ Three families are supported:
 Every projection and offset component is a pure function of
 (seed, row, concat, dim_index) computed through a counter-based 64-bit
 mixer, so a sketch is reproducible from its config alone. Dense inputs hash
-against a read-only plan (W, b, fold keys) cached per config in a small LRU,
-for configs whose rows * power * dim fits a 4e6-component cap that also
-bounds the cache's total size; larger configs generate row blocks on every
-call. Sparse inputs generate only their nonzero columns and hash in
-O(nnz * rows * power) without materializing any matrix.
+against a read-only plan (W, b, fold keys) cached per config. Sparse inputs
+hash against a per-config column cache instead: the projection column of
+each input dimension is generated the first time a vector uses it and kept,
+next to the config's offsets and fold keys, so its memory follows the
+dimensions seen rather than dim, and a sparse hash gathers its nnz columns
+and costs O(nnz * rows * power) without building the dense plan. Both
+caches are kept only for configs whose rows * power * dim fits a
+4e6-component cap, which also bounds plans and columns together, evicting
+the least recently used; larger configs generate row blocks on every call.
+scipy, slow to import, is loaded only to draw srp/l2 projections.
 
 The p-stable code tuples have unbounded range and are folded to a finite
 slot range with a seeded universal-style hash ("rehashing"). The variant
@@ -32,9 +37,8 @@ from enum import Enum
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
-from .vectors import DataVector, DimensionMismatchError
+from .vectors import DataVector, DimensionMismatchError, check_finite
 
 __all__ = [
     "Family",
@@ -187,6 +191,8 @@ def projection_block(
     if cfg.kind is Family.L1:
         vals = np.tan(np.pi * (u - 0.5))
     else:
+        from scipy.special import ndtri  # slow to import; l1 never needs it
+
         vals = ndtri(u)
     return vals.reshape((row_stop - row_start) * p, dims.size)
 
@@ -282,16 +288,75 @@ def _to_slots(
 
 
 # Projection components held at once: the cap on a generated row block and
-# on the total size of the plan cache.
+# on the total size of the cache of plans and columns.
 _MAX_COMPONENTS = 4_000_000
 
 _HashState = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 
-# Hash plans, least recently used first: the read-only (W, b, fold keys) of
-# every row of a config, for configs whose rows * power * dim fits the cap.
-# Lookups, builds and evictions hold the lock.
+
+def _frozen(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    if a is not None:
+        a.flags.writeable = False
+    return a
+
+
+class _Columns:
+    """The sparse-hashing cache of one config: the projection column (the
+    rows * power components of one input dimension) of every dimension seen
+    so far, in first-seen order, plus the config's offsets and fold keys.
+
+    Memory follows the columns seen: ``cols`` grows by doubling and
+    ``where`` maps each input dimension to its row of ``cols``, -1 while
+    unseen. ``cols``, ``b`` and ``keys`` are read-only except while
+    ``ensure`` appends; callers hold the lock.
+    """
+
+    def __init__(self, cfg: LshConfig):
+        self.cfg = cfg
+        self.count = 0
+        self.where = np.full(cfg.dim, -1, dtype=np.int32)
+        self.cols = _frozen(np.empty((0, cfg.rows * cfg.power)))
+        self.b = self.keys = None
+        if cfg.kind is not Family.SRP:
+            self.b = _frozen(offset_block(cfg, 0, cfg.rows))
+            self.keys = _frozen(_fold_keys(cfg.seed, 0, cfg.rows))
+
+    @property
+    def components(self) -> int:
+        return self.count * self.cols.shape[1]
+
+    def ensure(self, dims: np.ndarray) -> bool:
+        """Generate and append the columns of the unseen dims; True if any."""
+        new = dims[self.where[dims] < 0]
+        if new.size == 0:
+            return False
+        n, m = self.count, new.size
+        block = projection_block(self.cfg, 0, self.cfg.rows, new)
+        cols = self.cols
+        if n + m > cols.shape[0]:
+            size = min(self.cfg.dim, max(2 * cols.shape[0], n + m))
+            cols = np.empty((size, cols.shape[1]))
+            cols[:n] = self.cols[:n]
+        cols.flags.writeable = True
+        cols[n : n + m] = block.T
+        self.cols = _frozen(cols)
+        self.where[new] = np.arange(n, n + m, dtype=np.int32)
+        self.count = n + m
+        return True
+
+
+# Hash plans and column sets, each least recently used first. A plan is the
+# read-only (W, b, fold keys) of every row of a config, built on its first
+# dense hash; a column set (``_Columns``) serves sparse hashes. Only configs
+# whose rows * power * dim fits the cap get either, and ``_MAX_COMPONENTS``
+# bounds both together: ``_LRU`` orders the ("plan" | "columns", config) keys
+# of both caches by last use for eviction. Every lookup, build, growth and
+# eviction holds the lock.
 _PLANS: "OrderedDict[LshConfig, _HashState]" = OrderedDict()
-_PLANS_LOCK = threading.Lock()
+_COLUMNS: "OrderedDict[LshConfig, _Columns]" = OrderedDict()
+_LRU: "OrderedDict[Tuple[str, LshConfig], None]" = OrderedDict()
+_CACHES = {"plan": _PLANS, "columns": _COLUMNS}
+_CACHE_LOCK = threading.Lock()
 
 
 def _generate(
@@ -308,25 +373,41 @@ def _generate(
     return W, offset_block(cfg, row_start, row_stop), _fold_keys(cfg.seed, row_start, row_stop)
 
 
+def _fits(cfg: LshConfig) -> bool:
+    return cfg.rows * cfg.power * cfg.dim <= _MAX_COMPONENTS
+
+
+def _touch(name: str, cfg: LshConfig) -> None:
+    _CACHES[name].move_to_end(cfg)
+    _LRU[name, cfg] = None
+    _LRU.move_to_end((name, cfg))
+
+
+def _evict() -> None:
+    """Drop least recently used plans and column sets until the cached
+    components fit the cap."""
+    total = sum(W.size for W, _, _ in _PLANS.values())
+    total += sum(c.components for c in _COLUMNS.values())
+    while total > _MAX_COMPONENTS and _LRU:
+        (name, cfg), _ = _LRU.popitem(last=False)
+        entry = _CACHES[name].pop(cfg, None)
+        if entry is not None:
+            total -= entry.components if name == "columns" else entry[0].size
+
+
 def _plan(cfg: LshConfig) -> Optional[_HashState]:
     """The cached hash plan of cfg, built on first use; None when cfg is
     over the cap, whose rows are generated block by block instead."""
-    if cfg.rows * cfg.power * cfg.dim > _MAX_COMPONENTS:
+    if not _fits(cfg):
         return None
-    with _PLANS_LOCK:
+    with _CACHE_LOCK:
         plan = _PLANS.get(cfg)
-        if plan is not None:
-            _PLANS.move_to_end(cfg)
-            return plan
-        plan = _generate(cfg, 0, cfg.rows)
-        for a in plan:
-            if a is not None:
-                a.flags.writeable = False
-        _PLANS[cfg] = plan
-        total = sum(W.size for W, _, _ in _PLANS.values())
-        while total > _MAX_COMPONENTS:
-            _, (W, _, _) = _PLANS.popitem(last=False)
-            total -= W.size
+        built = plan is None
+        if built:
+            plan = _PLANS[cfg] = tuple(_frozen(a) for a in _generate(cfg, 0, cfg.rows))
+        _touch("plan", cfg)
+        if built:
+            _evict()
         return plan
 
 
@@ -400,10 +481,41 @@ def hash_matrix(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected points of dimension {cfg.dim}, got shape {X.shape}"
         )
+    check_finite(X)
+    return _dense_slots(cfg, X)
+
+
+def _dense_slots(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
+    """hash_matrix of an already checked (n, dim) float64 matrix."""
     out = np.empty((X.shape[0], cfg.rows), dtype=np.uint64)
     for r0, r1, W, b, keys in _blocks(cfg, X.shape[0]):
         out[:, r0:r1] = slots_for_block(cfg, X, W, b, r0, keys)
     return out
+
+
+def _sparse_state(
+    cfg: LshConfig, dims: np.ndarray, row_start: int, row_stop: int
+) -> _HashState:
+    """(W, b, fold keys) of rows [row_start, row_stop) on the input
+    dimensions ``dims`` only, W a C-contiguous (rows * power, dims.size)
+    array: gathered from the config's cached columns (generating those not
+    seen yet), or freshly generated when cfg is over the cap."""
+    if not _fits(cfg):
+        return _generate(cfg, row_start, row_stop, dims)
+    p0, p1 = row_start * cfg.power, row_stop * cfg.power
+    with _CACHE_LOCK:
+        cache = _COLUMNS.get(cfg)
+        if cache is None:
+            cache = _COLUMNS[cfg] = _Columns(cfg)
+        _touch("columns", cfg)
+        if cache.ensure(dims):
+            _evict()
+        # A C-contiguous copy, as generated blocks are: W @ x.values then runs
+        # the same BLAS kernel, so the slots stay bit-identical.
+        W = cache.cols[cache.where[dims], p0:p1].T.copy()
+    if cache.b is None:
+        return W, None, None
+    return W, cache.b[p0:p1], cache.keys[row_start:row_stop]
 
 
 def _sparse_slots(cfg: LshConfig, x: DataVector) -> np.ndarray:
@@ -412,7 +524,7 @@ def _sparse_slots(cfg: LshConfig, x: DataVector) -> np.ndarray:
     step = max(1, int(_MAX_COMPONENTS / max(cfg.power * max(x.values.size, 1), 1)))
     for r0 in range(0, cfg.rows, step):
         r1 = min(cfg.rows, r0 + step)
-        W, b, keys = _generate(cfg, r0, r1, x.indices)
+        W, b, keys = _sparse_state(cfg, x.indices, r0, r1)
         out[r0:r1] = _to_slots(cfg, (W @ x.values)[None, :], b, keys)[0]
     return out
 
@@ -423,7 +535,7 @@ def hash_all(cfg: LshConfig, x: DataVector) -> np.ndarray:
         raise DimensionMismatchError(f"expected dim {cfg.dim}, got {x.dim}")
     if x.is_sparse:
         return _sparse_slots(cfg, x)
-    return hash_matrix(cfg, x.values[None, :])[0]
+    return _dense_slots(cfg, x.values[None, :])[0]
 
 
 def _row_codes(cfg: LshConfig, x: DataVector, row: int) -> np.ndarray:
@@ -433,7 +545,7 @@ def _row_codes(cfg: LshConfig, x: DataVector, row: int) -> np.ndarray:
     if not 0 <= row < cfg.rows:
         raise IndexError("row out of range")
     if x.is_sparse:
-        W, b, _ = _generate(cfg, row, row + 1, x.indices)
+        W, b, _ = _sparse_state(cfg, x.indices, row, row + 1)
     else:
         W, b, _ = _rows_state(cfg, row, row + 1)
     return _to_slots(cfg, (W @ x.values)[None, :], b, None)[0, 0]

@@ -62,7 +62,7 @@ from .lsh import (
     hash_matrix,
     slots_for_block,
 )
-from .vectors import DataVector, DimensionMismatchError
+from .vectors import DataVector, DimensionMismatchError, check_finite
 
 __all__ = [
     "RaceSketch",
@@ -229,6 +229,7 @@ class RaceSketch:
             raise DimensionMismatchError(
                 f"expected points of dimension {self.config.dim}, got {X.shape}"
             )
+        check_finite(X)
         n = X.shape[0]
         R = self.config.hash_range
         chunk = max(1, int(2e7 // _row_block_size(self.config, 1)))

@@ -1,8 +1,9 @@
 """Dense and sparse real vectors with the distance and angle computations
 used by the hash families and the exact-density oracle.
 
-All values are 64-bit floats. Sparse vectors store sorted (index, value)
-pairs with strictly increasing 0-based indices and nonzero values.
+All values are finite 64-bit floats. Sparse vectors store sorted
+(index, value) pairs with strictly increasing 0-based indices and nonzero
+values.
 """
 
 from __future__ import annotations
@@ -14,6 +15,16 @@ import numpy as np
 
 class DimensionMismatchError(ValueError):
     """Raised when two vectors of different dimension are combined."""
+
+
+class NonFiniteInputError(ValueError):
+    """Raised when an input vector or point matrix holds NaN or an infinity."""
+
+
+def check_finite(values: np.ndarray) -> None:
+    """Raise NonFiniteInputError unless every entry of values is finite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteInputError("input holds NaN or infinite values")
 
 
 class DataVector:
@@ -32,6 +43,7 @@ class DataVector:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("values must be one-dimensional")
+        check_finite(values)
         if indices is None:
             if values.shape[0] != dim:
                 raise ValueError(

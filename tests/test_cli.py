@@ -1,10 +1,13 @@
 import csv
+import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from racekde import DataVector, hash_all, l2_collision
 from racekde.cli import main
 from racekde.lsh import LshConfig
 from racekde.sketch import RaceSketch
@@ -246,3 +249,99 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "sketch" in proc.stdout and "eval" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("sketch", "--range", "1"),
+        ("sketch", "--power", "0"),
+        ("sketch", "--rows", "0"),
+        ("eval", "--sigma", "0"),
+        ("eval", "--range", "1"),
+        ("eval", "--power", "0"),
+    ],
+)
+def test_invalid_config_flags_exit_one(data_dir, capsys, command, flag, value):
+    if command == "sketch":
+        args = _sketch_args(data_dir, data_dir / "s.bin")
+    else:
+        args = [
+            "eval",
+            "--input", str(data_dir / "data.txt"),
+            "--queries", str(data_dir / "queries.txt"),
+            "--kind", "l2", "--sigma", "1.5", "--range", "16",
+            "--sizes", "2000", "--output", str(data_dir / "e.csv"),
+        ]
+    assert main(args + [flag, value]) == 1  # the last occurrence of a flag wins
+    err = capsys.readouterr().err
+    assert err.startswith("racekde: error: ") and "Traceback" not in err
+
+
+def test_non_finite_input_exits_two(data_dir, tmp_path, capsys):
+    bad = tmp_path / "nan.txt"
+    bad.write_text("1 2 3 4\n1 nan 3 4\n")
+    args = _sketch_args(data_dir, tmp_path / "s.bin")
+    args[2] = str(bad)
+    assert main(args) == 2
+    assert "line 2" in capsys.readouterr().err
+
+    sparse = tmp_path / "inf.txt"
+    sparse.write_text("1:1.0\n2:inf\n")
+    rc = main([
+        "sketch", "--input", str(sparse), "--format", "sparse", "--dim", "4",
+        "--kind", "l1", "--sigma", "1.0", "--rows", "8", "--range", "8",
+        "--output", str(tmp_path / "s2.bin"),
+    ])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
+
+
+SCIPY_PROBE = r"""
+import json, sys
+import racekde
+loaded = {"import": "scipy" in sys.modules}
+from racekde.cli import main
+from racekde import DataVector, LshConfig, hash_all, l2_collision
+
+args = json.loads(sys.argv[1])
+for name, argv in args.items():
+    assert main(argv) == 0, name
+    loaded[name] = "scipy" in sys.modules
+x = DataVector.dense([0.5, -1.0, 2.0, 0.25])
+out = {
+    "loaded": loaded,
+    "srp": hash_all(LshConfig("srp", 4, 0.0, 3, 30, 8, 5), x).tolist(),
+    "l2": hash_all(LshConfig("l2", 4, 1.5, 2, 30, 64, 5), x).tolist(),
+    "l2_collision": l2_collision([0.0, 0.3, 1.7, 9.0], 1.5).tolist(),
+}
+print(json.dumps(out))
+"""
+
+
+def test_scipy_loaded_only_for_srp_l2(data_dir, tmp_path):
+    sk = str(tmp_path / "l1.sk")
+    l1 = ["--kind", "l1", "--sigma", "1.5", "--range", "16"]
+    data, queries = str(data_dir / "data.txt"), str(data_dir / "queries.txt")
+    commands = {
+        "sketch": ["sketch", "--input", data, *l1, "--rows", "20", "--output", sk],
+        "query": ["query", "--sketch", sk, "--queries", queries, "--output", str(tmp_path / "q.csv")],
+        "merge": ["merge", sk, sk, "--output", str(tmp_path / "m.sk")],
+        "info": ["info", sk],
+        "eval": ["eval", "--input", data, "--queries", queries, *l1, "--sizes", "2000",
+                 "--output", str(tmp_path / "e.csv")],
+    }
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["loaded"] == dict.fromkeys(["import", *commands], False)
+    x = DataVector.dense([0.5, -1.0, 2.0, 0.25])
+    assert got["srp"] == hash_all(LshConfig("srp", 4, 0.0, 3, 30, 8, 5), x).tolist()
+    assert got["l2"] == hash_all(LshConfig("l2", 4, 1.5, 2, 30, 64, 5), x).tolist()
+    assert got["l2_collision"] == l2_collision([0.0, 0.3, 1.7, 9.0], 1.5).tolist()

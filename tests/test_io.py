@@ -113,3 +113,11 @@ def test_csv_to_file(tmp_path):
     path = tmp_path / "out.csv"
     write_eval_csv([EvalRecord(0, "race", "p", 8, 1.0, 1.0)], str(path))
     assert path.read_text().splitlines()[1] == "0,race,p,8,1,1,0"
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_values_are_format_errors(token):
+    with pytest.raises(DatasetFormatError, match="line 2"):
+        list(read_dense(io.StringIO(f"1 2\n3 {token}\n")))
+    with pytest.raises(DatasetFormatError, match="line 3"):
+        list(read_sparse(io.StringIO(f"1:1.0\n\nx 2:{token}\n"), dim=4))

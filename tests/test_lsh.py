@@ -369,3 +369,158 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(1, "race", 0) == derive_seed(1, "race", 0)
     assert derive_seed(1, "race", 0) != derive_seed(1, "rs", 0)
     assert derive_seed(1, "race", 0) != derive_seed(2, "race", 0)
+
+
+@contextmanager
+def column_mode(mode):
+    """plan_mode(mode) with the sparse column cache and the shared LRU order
+    emptied as well; yields the column cache."""
+    with plan_mode(mode):
+        lsh._COLUMNS.clear()
+        lsh._LRU.clear()
+        try:
+            yield lsh._COLUMNS
+        finally:
+            lsh._COLUMNS.clear()
+            lsh._LRU.clear()
+
+
+def sparse_vec(rng, dims, dim=16):
+    dims = np.sort(np.asarray(dims))
+    vals = rng.normal(size=dims.size)
+    vals[vals == 0.0] = 1.0
+    return DataVector.sparse(dim, dims, vals)
+
+
+def cached_components():
+    plans = sum(W.size for W, _, _ in lsh._PLANS.values())
+    return plans + sum(c.components for c in lsh._COLUMNS.values())
+
+
+@pytest.mark.parametrize("mode", PLAN_MODES)
+@pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
+def test_sparse_column_cache_matches_fresh(kind, mode):
+    cfg = kind_cfg(kind)
+    rng = np.random.default_rng(15)
+    # cold, warm (same dims), partially warm (some dims new), all seen
+    supports = [[1, 4, 9], [1, 4, 9], [0, 4, 9, 12, 15], [0, 1, 12], list(range(16))]
+    with column_mode(mode) as columns:
+        seen = set()
+        for i, dims in enumerate(supports):
+            x = sparse_vec(rng, dims)
+            want = fresh_slots(cfg, x.to_dense()[None, :])[0]
+            codes = fresh_slots(cfg, x.to_dense()[None, :], fold=False)[0]
+            # the first vector meets an empty cache through the one-row path
+            order = ("rows", "all") if i == 0 else ("all", "rows")
+            for path in order:
+                if path == "all":
+                    assert np.array_equal(hash_all(cfg, x), want)
+                    continue
+                for row in (0, 7, cfg.rows - 1):
+                    if kind == "srp":
+                        assert srp_hash(cfg, x, row) == int(want[row])
+                    else:
+                        assert pstable_hash(cfg, x, row) == tuple(int(c) for c in codes[row])
+            seen.update(dims)
+            if mode == "streamed":
+                assert cfg not in columns
+            else:
+                assert columns[cfg].components == len(seen) * cfg.rows * cfg.power
+        assert len(lsh._PLANS) == 0
+
+
+def test_column_cache_memory_follows_seen_columns():
+    cfg = LshConfig("l1", 5000, 2.0, 2, 50, 64, 4)
+    rng = np.random.default_rng(16)
+    with column_mode("cached") as columns:
+        seen = set()
+        for _ in range(20):
+            dims = rng.choice(np.arange(0, 5000, 50), size=6, replace=False)
+            hash_all(cfg, sparse_vec(rng, dims, dim=5000))
+            seen.update(dims.tolist())
+            cache = columns[cfg]
+            assert cache.components == len(seen) * cfg.rows * cfg.power
+            assert cache.count <= cache.cols.shape[0] <= 2 * cache.count
+        assert cached_components() == len(seen) * cfg.rows * cfg.power
+        assert len(lsh._PLANS) == 0
+
+
+def test_cached_columns_are_read_only():
+    cfg = kind_cfg("l2")
+    rng = np.random.default_rng(17)
+    x = sparse_vec(rng, [2, 3, 11])
+    with column_mode("cached") as columns:
+        before = hash_all(cfg, x)
+        cache = columns[cfg]
+        for a in (cache.cols, cache.b, cache.keys):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+        hash_all(cfg, sparse_vec(rng, [0, 5]))  # grows the cache
+        assert not columns[cfg].cols.flags.writeable
+        projection_block(cfg, 0, cfg.rows, x.indices)[...] = 0.0
+        assert np.array_equal(hash_all(cfg, x), before)
+
+
+def test_plans_and_columns_share_one_lru_budget(monkeypatch):
+    rng = np.random.default_rng(18)
+    dense = DataVector.dense(np.ones(16))
+    a, b, c, d, e = (kind_cfg("l2", rows=rows) for rows in (10, 20, 30, 5, 40))
+    with column_mode("cached") as columns:
+        monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 2000)
+        steps = [
+            (a, dense),  # plan: 320
+            (b, sparse_vec(rng, range(8))),  # columns: 320
+            (c, dense),  # plan: 960
+            (b, sparse_vec(rng, range(4, 12))),  # columns grow to 480
+            (a, dense),  # a used again
+            (d, sparse_vec(rng, range(16))),  # columns: 160, total 1920
+            (e, dense),  # plan: 1280 evicts c's plan, then b's columns
+        ]
+        for cfg, x in steps:
+            hash_all(cfg, x)
+            assert cached_components() <= lsh._MAX_COMPONENTS
+        assert list(lsh._PLANS) == [a, e]
+        assert list(columns) == [d]
+        # a sparse call on a config whose plan is cached adds columns only
+        hash_all(a, sparse_vec(rng, [3]))
+        assert list(lsh._PLANS) == [a, e] and list(columns) == [d, a]
+
+
+def test_column_cache_shared_by_threads(monkeypatch):
+    # More threads than cores hash sparse vectors of configs whose column
+    # sets keep evicting each other.
+    cfgs = [kind_cfg(kind, rows=rows) for kind in ("srp", "l1") for rows in (20, 30)]
+    rng = np.random.default_rng(19)
+    vecs = [sparse_vec(rng, rng.choice(16, size=5, replace=False)) for _ in range(6)]
+    want = [[fresh_slots(cfg, x.to_dense()[None, :])[0] for x in vecs] for cfg in cfgs]
+    errors = []
+
+    def work(k):
+        try:
+            for i in range(100):
+                j, v = (i + k) % len(cfgs), (i * 5 + k) % len(vecs)
+                if not np.array_equal(hash_all(cfgs[j], vecs[v]), want[j][v]):
+                    errors.append(f"thread {k}: wrong slots for config {j}, vector {v}")
+        except Exception as exc:  # reported below
+            errors.append(repr(exc))
+
+    with column_mode("cached") as columns:
+        monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 1500)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert cached_components() <= lsh._MAX_COMPONENTS
+        for cache in columns.values():
+            seen = np.flatnonzero(cache.where >= 0)
+            assert cache.count == seen.size
+            assert np.array_equal(np.sort(cache.where[seen]), np.arange(seen.size))

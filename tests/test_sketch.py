@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from racekde.lsh import LshConfig
+from racekde.lsh import LshConfig, hash_matrix
 from racekde.sketch import (
     ConfigMismatchError,
     EmptySketchError,
@@ -16,7 +16,7 @@ from racekde.sketch import (
     ace_variance_bound,
     rehashed_variance_bound,
 )
-from racekde.vectors import DataVector
+from racekde.vectors import DataVector, NonFiniteInputError
 
 from helpers import crafted_file, with_items
 
@@ -411,3 +411,20 @@ def test_variance_bound_helpers():
 def test_kde_estimate_invariant():
     est = KdeEstimate(0.4, np.array([0.2, 0.4, 0.9]), 3)
     assert est.value == np.median(est.group_means)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_non_finite_matrices_rejected_unchanged(storage, bad):
+    cfg = l2_cfg(rows=10)
+    s = RaceSketch(cfg, storage)
+    X = RNG.normal(size=(5, 6))
+    s.add_matrix(X)
+    before = s.to_bytes()
+    Y = X.copy()
+    Y[3, 2] = bad
+    for call in (s.add_matrix, s.remove_matrix, s.raw_query_matrix,
+                 lambda M: hash_matrix(cfg, M)):
+        with pytest.raises(NonFiniteInputError):
+            call(Y)
+    assert s.to_bytes() == before

@@ -6,6 +6,7 @@ import pytest
 from racekde.vectors import (
     DataVector,
     DimensionMismatchError,
+    NonFiniteInputError,
     angle,
     dot,
     l1_distance,
@@ -118,3 +119,11 @@ def test_sparse_dense_distances_agree():
             a = metric(sparse, other)
             b = metric(dv, other)
             assert a == pytest.approx(b, abs=8 * np.spacing(max(abs(a), abs(b), 1.0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(NonFiniteInputError):
+        DataVector.dense([1.0, bad])
+    with pytest.raises(NonFiniteInputError):
+        DataVector.sparse(4, [0, 2], [1.0, bad])
