@@ -103,7 +103,14 @@ def _from_flags(build, **fields):
         raise _UsageError(str(exc)) from None
 
 
+def _check_groups_fit(groups: int, rows: int) -> None:
+    if groups > rows:
+        raise _UsageError(f"--groups {groups} exceeds the sketch's {rows} rows")
+
+
 def _reader(path: str, fmt: str, dim: Optional[int]):
+    if dim is not None and dim < 1:
+        raise _UsageError("--dim must be positive")
     if fmt == "sparse":
         if dim is None:
             raise _UsageError("--dim is required for sparse input")
@@ -145,6 +152,7 @@ def cmd_query(args) -> int:
     if args.groups % 2 == 0 or args.groups < 1:
         raise _UsageError("--groups must be a positive odd integer")
     sketch = RaceSketch.deserialize(args.sketch_file)
+    _check_groups_fit(args.groups, sketch.config.rows)
     size = sketch.memory_bytes()
     params = (
         f"kind={sketch.config.kind.value},rows={sketch.config.rows},"
@@ -214,12 +222,20 @@ def cmd_eval(args) -> int:
     if args.repeats < 1:
         raise _UsageError("--repeats must be >= 1")
 
+    hash_range = _default_range(args.kind, args.power, args.hash_range)
+    race_rows = {}  # checked before any data is read
+    if "race" in methods:
+        for budget in sizes:
+            rows = race_rows[budget] = (budget - HEADER_SIZE - 4) // (8 * hash_range)
+            if rows < 1:
+                raise _UsageError(f"budget {budget} too small for range {hash_range}")
+            _check_groups_fit(args.groups, rows)
+
     dataset = list(_reader(args.input, args.format, args.dim))
     if not dataset:
         raise DatasetFormatError(0, "input contains no vectors")
     dim = dataset[0].dim
     queries = _load_queries(args)
-    hash_range = _default_range(args.kind, args.power, args.hash_range)
     kernel = _from_flags(
         KernelEval,
         kind=Family(args.kind),
@@ -234,11 +250,7 @@ def cmd_eval(args) -> int:
             for method in methods:
                 seed = derive_seed(args.seed, method, rep * 10_000_000 + budget)
                 if method == "race":
-                    rows = (budget - HEADER_SIZE - 4) // (8 * hash_range)
-                    if rows < 1:
-                        raise _UsageError(
-                            f"budget {budget} too small for range {hash_range}"
-                        )
+                    rows = race_rows[budget]
                     cfg = _from_flags(
                         LshConfig,
                         kind=Family(args.kind),

@@ -9,16 +9,16 @@ Three families are supported:
 
 Every projection and offset component is a pure function of
 (seed, row, concat, dim_index) computed through a counter-based 64-bit
-mixer, so a sketch is reproducible from its config alone. Dense inputs hash
-against a read-only plan (W, b, fold keys) cached per config. Sparse inputs
-hash against a per-config column cache instead: the projection column of
-each input dimension is generated the first time a vector uses it and kept,
-next to the config's offsets and fold keys, so its memory follows the
-dimensions seen rather than dim, and a sparse hash gathers its nnz columns
-and costs O(nnz * rows * power) without building the dense plan. Both
-caches are kept only for configs whose rows * power * dim fits a
-4e6-component cap, which also bounds plans and columns together, evicting
-the least recently used; larger configs generate row blocks on every call.
+mixer, so a sketch is reproducible from its config alone. Each config has
+one read-only projection cache, next to its offsets and fold keys: the
+projection column of an input dimension is generated the first time a hash
+uses it and kept. A sparse hash gathers its nnz columns and costs
+O(nnz * rows * power), so a config hashed only sparse holds the dimensions
+seen rather than dim. A dense hash asks for every column, which puts them
+in dimension order once; the cached columns are then the whole projection
+matrix W. Only configs whose rows * power * dim fits a 4e6-component cap
+are cached, and the same cap bounds the cache's total, evicting the least
+recently used config; larger configs generate row blocks on every call.
 scipy, slow to import, is loaded only to draw srp/l2 projections.
 
 The p-stable code tuples have unbounded range and are folded to a finite
@@ -288,7 +288,7 @@ def _to_slots(
 
 
 # Projection components held at once: the cap on a generated row block and
-# on the total size of the cache of plans and columns.
+# on the total size of the projection cache.
 _MAX_COMPONENTS = 4_000_000
 
 _HashState = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
@@ -301,19 +301,23 @@ def _frozen(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
 
 
 class _Columns:
-    """The sparse-hashing cache of one config: the projection column (the
+    """The cached projections of one config: the projection column (the
     rows * power components of one input dimension) of every dimension seen
-    so far, in first-seen order, plus the config's offsets and fold keys.
+    so far, plus the config's offsets and fold keys.
 
-    Memory follows the columns seen: ``cols`` grows by doubling and
+    A sparse hash adds the columns of its nonzero dimensions in first-seen
+    order, so memory follows the columns seen: ``cols`` grows by doubling and
     ``where`` maps each input dimension to its row of ``cols``, -1 while
-    unseen. ``cols``, ``b`` and ``keys`` are read-only except while
-    ``ensure`` appends; callers hold the lock.
+    unseen. A dense hash asks for every column, which also puts ``cols`` in
+    dimension order once, after which ``cols[:, p0:p1].T`` is the W of rows
+    p0 // power to p1 // power. ``cols``, ``b`` and ``keys`` are read-only
+    except while ``ensure`` appends; callers hold the lock.
     """
 
     def __init__(self, cfg: LshConfig):
         self.cfg = cfg
         self.count = 0
+        self.ordered = False
         self.where = np.full(cfg.dim, -1, dtype=np.int32)
         self.cols = _frozen(np.empty((0, cfg.rows * cfg.power)))
         self.b = self.keys = None
@@ -325,8 +329,20 @@ class _Columns:
     def components(self) -> int:
         return self.count * self.cols.shape[1]
 
-    def ensure(self, dims: np.ndarray) -> bool:
-        """Generate and append the columns of the unseen dims; True if any."""
+    def ensure(self, dims: Optional[np.ndarray]) -> bool:
+        """Generate and append the columns of the unseen dims, or of every
+        unseen dimension when dims is None, which also puts ``cols`` in
+        dimension order; True if any column was generated."""
+        if dims is None:
+            if self.ordered:
+                return False
+            dims = np.arange(self.cfg.dim, dtype=np.int32)
+            grew = self.ensure(dims)
+            if not np.array_equal(self.where, dims):
+                self.cols = _frozen(self.cols[self.where])
+                self.where = dims
+            self.ordered = True
+            return grew
         new = dims[self.where[dims] < 0]
         if new.size == 0:
             return False
@@ -345,17 +361,10 @@ class _Columns:
         return True
 
 
-# Hash plans and column sets, each least recently used first. A plan is the
-# read-only (W, b, fold keys) of every row of a config, built on its first
-# dense hash; a column set (``_Columns``) serves sparse hashes. Only configs
-# whose rows * power * dim fits the cap get either, and ``_MAX_COMPONENTS``
-# bounds both together: ``_LRU`` orders the ("plan" | "columns", config) keys
-# of both caches by last use for eviction. Every lookup, build, growth and
-# eviction holds the lock.
-_PLANS: "OrderedDict[LshConfig, _HashState]" = OrderedDict()
-_COLUMNS: "OrderedDict[LshConfig, _Columns]" = OrderedDict()
-_LRU: "OrderedDict[Tuple[str, LshConfig], None]" = OrderedDict()
-_CACHES = {"plan": _PLANS, "columns": _COLUMNS}
+# The projection cache, least recently used config first. Only configs whose
+# rows * power * dim fits the cap are cached, and ``_MAX_COMPONENTS`` bounds
+# the total. Every lookup, growth and eviction holds the lock.
+_CACHE: "OrderedDict[LshConfig, _Columns]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 
 
@@ -377,51 +386,41 @@ def _fits(cfg: LshConfig) -> bool:
     return cfg.rows * cfg.power * cfg.dim <= _MAX_COMPONENTS
 
 
-def _touch(name: str, cfg: LshConfig) -> None:
-    _CACHES[name].move_to_end(cfg)
-    _LRU[name, cfg] = None
-    _LRU.move_to_end((name, cfg))
-
-
 def _evict() -> None:
-    """Drop least recently used plans and column sets until the cached
-    components fit the cap."""
-    total = sum(W.size for W, _, _ in _PLANS.values())
-    total += sum(c.components for c in _COLUMNS.values())
-    while total > _MAX_COMPONENTS and _LRU:
-        (name, cfg), _ = _LRU.popitem(last=False)
-        entry = _CACHES[name].pop(cfg, None)
-        if entry is not None:
-            total -= entry.components if name == "columns" else entry[0].size
+    """Drop least recently used configs until the cached components fit the
+    cap."""
+    total = sum(c.components for c in _CACHE.values())
+    while total > _MAX_COMPONENTS:
+        total -= _CACHE.popitem(last=False)[1].components
 
 
-def _plan(cfg: LshConfig) -> Optional[_HashState]:
-    """The cached hash plan of cfg, built on first use; None when cfg is
-    over the cap, whose rows are generated block by block instead."""
+def _state(
+    cfg: LshConfig, row_start: int, row_stop: int, dims: Optional[np.ndarray] = None
+) -> _HashState:
+    """(W, b, fold keys) of rows [row_start, row_stop) on the input
+    dimensions ``dims``, or on every dimension when dims is None: read-only
+    views of the config's cached columns (a C-contiguous gathered copy for
+    ``dims``), generating those not seen yet, or freshly generated when cfg
+    is over the cap."""
     if not _fits(cfg):
-        return None
-    with _CACHE_LOCK:
-        plan = _PLANS.get(cfg)
-        built = plan is None
-        if built:
-            plan = _PLANS[cfg] = tuple(_frozen(a) for a in _generate(cfg, 0, cfg.rows))
-        _touch("plan", cfg)
-        if built:
-            _evict()
-        return plan
-
-
-def _rows_state(cfg: LshConfig, row_start: int, row_stop: int) -> _HashState:
-    """(W, b, fold keys) of rows [row_start, row_stop): read-only views of
-    the plan, or freshly generated when cfg is over the cap."""
-    plan = _plan(cfg)
-    if plan is None:
-        return _generate(cfg, row_start, row_stop)
-    W, b, keys = plan
+        return _generate(cfg, row_start, row_stop, dims)
     p0, p1 = row_start * cfg.power, row_stop * cfg.power
-    if b is None:
-        return W[p0:p1], None, None
-    return W[p0:p1], b[p0:p1], keys[row_start:row_stop]
+    with _CACHE_LOCK:
+        cache = _CACHE.get(cfg)
+        if cache is None:
+            cache = _CACHE[cfg] = _Columns(cfg)
+        _CACHE.move_to_end(cfg)
+        if cache.ensure(dims):
+            _evict()
+        if dims is None:
+            W = cache.cols[:, p0:p1].T
+        else:
+            # C-contiguous, as generated blocks are: the matmul then runs the
+            # same BLAS kernel, so the slots stay bit-identical.
+            W = cache.cols[cache.where[dims], p0:p1].T.copy()
+    if cache.b is None:
+        return W, None, None
+    return W, cache.b[p0:p1], cache.keys[row_start:row_stop]
 
 
 def slots_for_block(
@@ -434,8 +433,9 @@ def slots_for_block(
 ) -> np.ndarray:
     """Slot indices for a block of rows against a dense point matrix.
 
-    X is (n, dim); W, b are the outputs of projection_block / offset_block
-    for rows [row_start, row_start + m), and ``keys`` their fold keys
+    X is (n, k); W, b are the outputs of projection_block / offset_block
+    for rows [row_start, row_start + m) on the same k input dimensions (all
+    dim of them, or a sparse point's nonzeros), and ``keys`` their fold keys
     (derived from the config when omitted). Returns uint64 slots (n, m).
     """
     if keys is None and cfg.kind is not Family.SRP:
@@ -443,20 +443,23 @@ def slots_for_block(
     return _to_slots(cfg, X @ W.T, b, keys)
 
 
-def _row_block_size(cfg: LshConfig, n_points: int) -> int:
+def _row_block_size(cfg: LshConfig, n_points: int, width: int) -> int:
     # Cap the projection block and the per-chunk slot matrix at a few
-    # hundred MB regardless of dim/rows.
-    by_matrix = max(1, int(_MAX_COMPONENTS / (cfg.power * cfg.dim)))
+    # hundred MB regardless of width (dim, or a sparse input's nnz) and rows.
+    by_matrix = max(1, int(_MAX_COMPONENTS / (cfg.power * max(width, 1))))
     by_points = max(1, int(4e7 / (max(n_points, 1) * cfg.power)))
     return max(1, min(cfg.rows, by_matrix, by_points))
 
 
-def _blocks(cfg: LshConfig, n_points: int = 1) -> Iterator[Tuple]:
-    """Yield (row_start, row_stop, W, b, fold keys) blocks covering all rows."""
-    step = _row_block_size(cfg, n_points)
+def _blocks(
+    cfg: LshConfig, n_points: int = 1, dims: Optional[np.ndarray] = None
+) -> Iterator[Tuple]:
+    """Yield (row_start, row_stop, W, b, fold keys) blocks covering all rows,
+    W on the input dimensions ``dims`` (every dimension when None)."""
+    step = _row_block_size(cfg, n_points, cfg.dim if dims is None else dims.size)
     for r0 in range(0, cfg.rows, step):
         r1 = min(cfg.rows, r0 + step)
-        yield (r0, r1) + _rows_state(cfg, r0, r1)
+        yield (r0, r1) + _state(cfg, r0, r1, dims)
 
 
 def hash_blocks(
@@ -464,7 +467,8 @@ def hash_blocks(
 ) -> Iterator[Tuple[int, int, np.ndarray, Optional[np.ndarray]]]:
     """Yield (row_start, row_stop, W, b) blocks covering all rows.
 
-    The arrays are read-only when they come from the config's cached plan.
+    The arrays are read-only when they come from the config's cached
+    projections.
     """
     for r0, r1, W, b, _keys in _blocks(cfg, n_points):
         yield r0, r1, W, b
@@ -482,60 +486,26 @@ def hash_matrix(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
             f"expected points of dimension {cfg.dim}, got shape {X.shape}"
         )
     check_finite(X)
-    return _dense_slots(cfg, X)
+    return _slots(cfg, X)
 
 
-def _dense_slots(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
-    """hash_matrix of an already checked (n, dim) float64 matrix."""
+def _slots(cfg: LshConfig, X: np.ndarray, dims: Optional[np.ndarray] = None) -> np.ndarray:
+    """Slots (n, rows) of an already checked float64 matrix X whose columns
+    are the input dimensions ``dims``, or every dimension when dims is None."""
     out = np.empty((X.shape[0], cfg.rows), dtype=np.uint64)
-    for r0, r1, W, b, keys in _blocks(cfg, X.shape[0]):
+    for r0, r1, W, b, keys in _blocks(cfg, X.shape[0], dims):
         out[:, r0:r1] = slots_for_block(cfg, X, W, b, r0, keys)
     return out
 
 
-def _sparse_state(
-    cfg: LshConfig, dims: np.ndarray, row_start: int, row_stop: int
-) -> _HashState:
-    """(W, b, fold keys) of rows [row_start, row_stop) on the input
-    dimensions ``dims`` only, W a C-contiguous (rows * power, dims.size)
-    array: gathered from the config's cached columns (generating those not
-    seen yet), or freshly generated when cfg is over the cap."""
-    if not _fits(cfg):
-        return _generate(cfg, row_start, row_stop, dims)
-    p0, p1 = row_start * cfg.power, row_stop * cfg.power
-    with _CACHE_LOCK:
-        cache = _COLUMNS.get(cfg)
-        if cache is None:
-            cache = _COLUMNS[cfg] = _Columns(cfg)
-        _touch("columns", cfg)
-        if cache.ensure(dims):
-            _evict()
-        # A C-contiguous copy, as generated blocks are: W @ x.values then runs
-        # the same BLAS kernel, so the slots stay bit-identical.
-        W = cache.cols[cache.where[dims], p0:p1].T.copy()
-    if cache.b is None:
-        return W, None, None
-    return W, cache.b[p0:p1], cache.keys[row_start:row_stop]
-
-
-def _sparse_slots(cfg: LshConfig, x: DataVector) -> np.ndarray:
-    """hash_all for a sparse vector without touching zero coordinates."""
-    out = np.empty(cfg.rows, dtype=np.uint64)
-    step = max(1, int(_MAX_COMPONENTS / max(cfg.power * max(x.values.size, 1), 1)))
-    for r0 in range(0, cfg.rows, step):
-        r1 = min(cfg.rows, r0 + step)
-        W, b, keys = _sparse_state(cfg, x.indices, r0, r1)
-        out[r0:r1] = _to_slots(cfg, (W @ x.values)[None, :], b, keys)[0]
-    return out
-
-
 def hash_all(cfg: LshConfig, x: DataVector) -> np.ndarray:
-    """Slot index of x for every row; uint64 array of shape (rows,)."""
+    """Slot index of x for every row; uint64 array of shape (rows,).
+
+    A sparse x hashes against the columns of its nonzero dimensions only.
+    """
     if x.dim != cfg.dim:
         raise DimensionMismatchError(f"expected dim {cfg.dim}, got {x.dim}")
-    if x.is_sparse:
-        return _sparse_slots(cfg, x)
-    return _dense_slots(cfg, x.values[None, :])[0]
+    return _slots(cfg, x.values[None, :], x.indices)[0]
 
 
 def _row_codes(cfg: LshConfig, x: DataVector, row: int) -> np.ndarray:
@@ -544,11 +514,8 @@ def _row_codes(cfg: LshConfig, x: DataVector, row: int) -> np.ndarray:
         raise DimensionMismatchError(f"expected dim {cfg.dim}, got {x.dim}")
     if not 0 <= row < cfg.rows:
         raise IndexError("row out of range")
-    if x.is_sparse:
-        W, b, _ = _sparse_state(cfg, x.indices, row, row + 1)
-    else:
-        W, b, _ = _rows_state(cfg, row, row + 1)
-    return _to_slots(cfg, (W @ x.values)[None, :], b, None)[0, 0]
+    W, b, _ = _state(cfg, row, row + 1, x.indices)
+    return _to_slots(cfg, x.values[None, :] @ W.T, b, None)[0, 0]
 
 
 def srp_hash(cfg: LshConfig, x: DataVector, row: int) -> int:

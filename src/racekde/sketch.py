@@ -232,7 +232,7 @@ class RaceSketch:
         check_finite(X)
         n = X.shape[0]
         R = self.config.hash_range
-        chunk = max(1, int(2e7 // _row_block_size(self.config, 1)))
+        chunk = max(1, int(2e7 // _row_block_size(self.config, 1, self.config.dim)))
         for r0, r1, W, b, keys in _blocks(self.config, min(n, chunk)):
             m = r1 - r0
             local = np.arange(m, dtype=np.uint64) * np.uint64(R)

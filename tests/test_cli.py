@@ -278,6 +278,58 @@ def test_invalid_config_flags_exit_one(data_dir, capsys, command, flag, value):
     assert err.startswith("racekde: error: ") and "Traceback" not in err
 
 
+def _eval_args(data_dir, *extra):
+    return [
+        "eval",
+        "--input", str(data_dir / "data.txt"),
+        "--queries", str(data_dir / "queries.txt"),
+        "--output", str(data_dir / "e.csv"),
+        *extra,
+    ]
+
+
+@pytest.mark.parametrize("command", ["query", "eval"])
+def test_groups_over_rows_exit_one(data_dir, capsys, command):
+    if command == "query":
+        assert main(_sketch_args(data_dir, data_dir / "s.bin", rows=4)) == 0
+        args = [
+            "query", "--sketch", str(data_dir / "s.bin"),
+            "--queries", str(data_dir / "queries.txt"),
+            "--output", str(data_dir / "q.csv"),
+        ]
+    else:  # a 500-byte l1 budget at range 8 holds 6 rows
+        args = _eval_args(data_dir, "--kind", "l1", "--range", "8", "--sizes", "500")
+    capsys.readouterr()
+    assert main(args) == 1  # the default --groups is 9
+    err = capsys.readouterr().err
+    assert err.startswith("racekde: error: --groups 9 exceeds") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt, dim", [("sparse", "0"), ("dense", "0"), ("sparse", "-3")])
+@pytest.mark.parametrize("command", ["sketch", "query", "eval"])
+def test_non_positive_dim_exits_one(data_dir, tmp_path, capsys, command, fmt, dim):
+    sparse = tmp_path / "sparse.txt"
+    sparse.write_text("1:1.0 3:2.0\n2:1.5\n")
+    data = str(sparse if fmt == "sparse" else data_dir / "data.txt")
+    flags = ["--format", fmt, "--dim", dim]
+    if command == "sketch":
+        args = _sketch_args(data_dir, tmp_path / "s.bin") + flags
+        args[args.index("--input") + 1] = data
+    elif command == "query":
+        assert main(_sketch_args(data_dir, tmp_path / "s.bin")) == 0
+        args = [
+            "query", "--sketch", str(tmp_path / "s.bin"), "--queries", data,
+            "--output", str(tmp_path / "q.csv"), *flags,
+        ]
+    else:
+        args = _eval_args(data_dir, "--kind", "l1", "--range", "8", "--sizes", "2000", *flags)
+        args[args.index("--input") + 1] = args[args.index("--queries") + 1] = data
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err == "racekde: error: --dim must be positive\n"
+
+
 def test_non_finite_input_exits_two(data_dir, tmp_path, capsys):
     bad = tmp_path / "nan.txt"
     bad.write_text("1 2 3 4\n1 nan 3 4\n")

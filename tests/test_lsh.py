@@ -177,30 +177,30 @@ def test_hash_all_seed_sensitivity():
     assert differs == 100
 
 
-PLAN_MODES = ("cached", "sliced", "streamed")
+CACHE_MODES = ("cached", "sliced", "streamed")
 
 
 @contextmanager
-def plan_mode(mode):
-    """An empty plan cache. In mode "sliced" the configs below hash in
-    3-row slices of their cached plan; in "streamed" the component cap is
-    cut so they are over it and generate every row block afresh."""
+def cache_mode(mode):
+    """An empty projection cache, yielded. In mode "sliced" the configs below
+    hash in 3-row slices of their cached columns; in "streamed" the component
+    cap is cut so they are over it and generate every row block afresh."""
     with pytest.MonkeyPatch.context() as mp:
         if mode == "sliced":
-            mp.setattr(lsh, "_row_block_size", lambda cfg, n_points: 3)
+            mp.setattr(lsh, "_row_block_size", lambda cfg, n_points, width: 3)
         elif mode == "streamed":
             mp.setattr(lsh, "_MAX_COMPONENTS", 100)
-        lsh._PLANS.clear()
+        lsh._CACHE.clear()
         try:
-            yield lsh._PLANS
+            yield lsh._CACHE
         finally:
-            lsh._PLANS.clear()
+            lsh._CACHE.clear()
 
 
 @pytest.fixture
-def plan_cache():
-    with plan_mode("cached") as plans:
-        yield plans
+def cache():
+    with cache_mode("cached") as entries:
+        yield entries
 
 
 def kind_cfg(kind, dim=16, rows=20):
@@ -213,7 +213,7 @@ def fresh_slots(cfg, X, fold=True):
     """Slots (or raw codes) from freshly generated projection and offset
     blocks, in the row blocks the library uses."""
     n, p = X.shape[0], cfg.power
-    step = lsh._row_block_size(cfg, n)
+    step = lsh._row_block_size(cfg, n, cfg.dim)
     out = []
     for r0 in range(0, cfg.rows, step):
         r1 = min(cfg.rows, r0 + step)
@@ -231,9 +231,9 @@ def fresh_slots(cfg, X, fold=True):
 @pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
 def test_sparse_dense_hashes_agree(kind):
     cfg = kind_cfg(kind)
-    for mode in PLAN_MODES:
+    for mode in CACHE_MODES:
         rng = np.random.default_rng(8)
-        with plan_mode(mode) as plans:
+        with cache_mode(mode) as cache:
             for _ in range(10):
                 dense = rng.normal(size=16)
                 dense[rng.random(16) < 0.6] = 0.0
@@ -244,15 +244,15 @@ def test_sparse_dense_hashes_agree(kind):
                 want = fresh_slots(cfg, dense[None, :])[0]
                 assert np.array_equal(hash_all(cfg, sp), want)
                 assert np.array_equal(hash_all(cfg, DataVector.dense(dense)), want)
-            assert (cfg in plans) == (mode != "streamed")
+            assert (cfg in cache) == (mode != "streamed")
 
 
-@pytest.mark.parametrize("mode", PLAN_MODES)
+@pytest.mark.parametrize("mode", CACHE_MODES)
 @pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
 def test_plan_hashes_match_fresh_blocks(kind, mode):
     cfg = kind_cfg(kind)
     X = np.random.default_rng(11).normal(size=(7, 16))
-    with plan_mode(mode):
+    with cache_mode(mode):
         assert np.array_equal(hash_matrix(cfg, X), fresh_slots(cfg, X))
         for row in (0, 9, cfg.rows - 1):
             W = projection_block(cfg, row, row + 1)
@@ -274,66 +274,70 @@ def test_plan_hashes_match_fresh_blocks(kind, mode):
             assert got == want
 
 
-def test_plan_is_read_only_and_isolated(plan_cache):
-    cfg = kind_cfg("l2")
-    x = DataVector.dense(np.random.default_rng(12).normal(size=16))
-    before = hash_all(cfg, x)
-    for a in plan_cache[cfg]:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[...] = 0
-    for _r0, _r1, W, _b in hash_blocks(cfg):
-        with pytest.raises(ValueError):
-            W[0, 0] = 1.0
-    W = projection_block(cfg, 0, cfg.rows)
-    W[...] = 0.0
-    offset_block(cfg, 0, cfg.rows)[...] = 0.0
-    assert np.array_equal(hash_all(cfg, x), before)
-
-
-def test_plan_built_lazily(plan_cache):
+def test_plan_built_lazily(cache):
     cfg = kind_cfg("l1")
     s = RaceSketch(cfg)
     s.add_matrix(np.random.default_rng(13).normal(size=(5, 16)))
     blob = s.to_bytes()
-    plan_cache.clear()
+    cache.clear()
     RaceSketch(cfg)
     loaded = RaceSketch.from_bytes(blob)
     loaded.merge(loaded)
-    assert len(plan_cache) == 0
+    assert len(cache) == 0
     sparse = DataVector.sparse(16, [2, 5], [1.0, -0.5])
     loaded.add(sparse)
     loaded.estimate(sparse)
-    assert len(plan_cache) == 0
+    assert list(cache) == [cfg]
+    assert cached_components() == 2 * cfg.rows * cfg.power
     loaded.estimate(DataVector.dense(np.ones(16)))
-    assert list(plan_cache) == [cfg]
+    assert cached_components() == all_components(cfg)
 
 
-def test_plan_cache_bounded_lru(plan_cache, monkeypatch):
+def test_plan_cache_bounded_lru(cache, monkeypatch):
+    # Dense and sparse hashes share one LRU order and one bound.
     monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 2000)
-    x = DataVector.dense(np.ones(16))
-    a, b, c, d, big = (kind_cfg("l2", rows=rows) for rows in (10, 20, 30, 5, 63))
-    for cfg in (a, b, c, a, d, big):  # 320, 640, 960, 160, 2016 components
+    rng = np.random.default_rng(18)
+    dense = DataVector.dense(np.ones(16))
+    a, b, c, d, e, big = (kind_cfg("l2", rows=rows) for rows in (10, 20, 30, 5, 40, 63))
+    steps = [
+        (a, dense),  # every column: 320 components
+        (b, sparse_vec(rng, range(8))),  # 8 columns: 320
+        (c, dense),  # 960
+        (b, sparse_vec(rng, range(4, 12))),  # b grows to 12 columns: 480
+        (a, dense),  # a used again
+        (d, sparse_vec(rng, range(16))),  # 160, total 1920
+        (e, dense),  # 1280 evicts c, then b
+        (big, dense),  # 2016 never fits the cap
+    ]
+    for cfg, x in steps:
         hash_all(cfg, x)
-        assert sum(W.size for W, _, _ in plan_cache.values()) <= lsh._MAX_COMPONENTS
-    # a was used again after b, so b went first; big never fit the cap
-    assert list(plan_cache) == [c, a, d]
+        assert cached_components() <= lsh._MAX_COMPONENTS
+    assert list(cache) == [a, d, e]
+    # a sparse call on a config hashed dense adds nothing and marks it used
+    hash_all(a, sparse_vec(rng, [3]))
+    assert list(cache) == [d, e, a]
+    assert cache[a].components == all_components(a)
 
 
-def test_plan_cache_shared_by_threads(plan_cache, monkeypatch):
-    # More threads than cores hash configs that keep evicting each other.
+@pytest.mark.parametrize("layout", ["dense", "sparse"])
+def test_column_cache_shared_by_threads(layout, cache, monkeypatch):
+    # More threads than cores hash configs whose cached columns keep
+    # evicting each other.
     monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 1500)
-    cfgs = [kind_cfg(kind, rows=rows) for kind in ("srp", "l2") for rows in (20, 30)]
-    X = np.random.default_rng(14).normal(size=(3, 16))
-    want = [fresh_slots(cfg, X) for cfg in cfgs]
+    cfgs = [kind_cfg(kind, rows=rows) for kind in ("srp", "l2", "l1") for rows in (20, 30)]
+    rng = np.random.default_rng(19)
+    vecs = [sparse_vec(rng, rng.choice(16, size=5, replace=False)) for _ in range(6)]
+    if layout == "dense":
+        vecs = [DataVector.dense(rng.normal(size=16)) for _ in vecs]
+    want = [[fresh_slots(cfg, x.to_dense()[None, :])[0] for x in vecs] for cfg in cfgs]
     errors = []
 
     def work(k):
         try:
             for i in range(100):
-                j = (i + k) % len(cfgs)
-                if not np.array_equal(hash_matrix(cfgs[j], X), want[j]):
-                    errors.append(f"thread {k}: wrong slots for config {j}")
+                j, v = (i + k) % len(cfgs), (i * 5 + k) % len(vecs)
+                if not np.array_equal(hash_all(cfgs[j], vecs[v]), want[j][v]):
+                    errors.append(f"thread {k}: wrong slots for config {j}, vector {v}")
         except Exception as exc:  # reported below
             errors.append(repr(exc))
 
@@ -349,7 +353,11 @@ def test_plan_cache_shared_by_threads(plan_cache, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert sum(W.size for W, _, _ in plan_cache.values()) <= lsh._MAX_COMPONENTS
+    assert cached_components() <= lsh._MAX_COMPONENTS
+    for entry in cache.values():
+        seen = np.flatnonzero(entry.where >= 0)
+        assert entry.count == seen.size
+        assert np.array_equal(np.sort(entry.where[seen]), np.arange(seen.size))
 
 
 def test_srp_collision_tracks_angle():
@@ -371,20 +379,6 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(1, "race", 0) != derive_seed(2, "race", 0)
 
 
-@contextmanager
-def column_mode(mode):
-    """plan_mode(mode) with the sparse column cache and the shared LRU order
-    emptied as well; yields the column cache."""
-    with plan_mode(mode):
-        lsh._COLUMNS.clear()
-        lsh._LRU.clear()
-        try:
-            yield lsh._COLUMNS
-        finally:
-            lsh._COLUMNS.clear()
-            lsh._LRU.clear()
-
-
 def sparse_vec(rng, dims, dim=16):
     dims = np.sort(np.asarray(dims))
     vals = rng.normal(size=dims.size)
@@ -393,18 +387,21 @@ def sparse_vec(rng, dims, dim=16):
 
 
 def cached_components():
-    plans = sum(W.size for W, _, _ in lsh._PLANS.values())
-    return plans + sum(c.components for c in lsh._COLUMNS.values())
+    return sum(entry.components for entry in lsh._CACHE.values())
 
 
-@pytest.mark.parametrize("mode", PLAN_MODES)
+def all_components(cfg):
+    return cfg.rows * cfg.power * cfg.dim
+
+
+@pytest.mark.parametrize("mode", CACHE_MODES)
 @pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
 def test_sparse_column_cache_matches_fresh(kind, mode):
     cfg = kind_cfg(kind)
     rng = np.random.default_rng(15)
     # cold, warm (same dims), partially warm (some dims new), all seen
     supports = [[1, 4, 9], [1, 4, 9], [0, 4, 9, 12, 15], [0, 1, 12], list(range(16))]
-    with column_mode(mode) as columns:
+    with cache_mode(mode) as cache:
         seen = set()
         for i, dims in enumerate(supports):
             x = sparse_vec(rng, dims)
@@ -423,104 +420,76 @@ def test_sparse_column_cache_matches_fresh(kind, mode):
                         assert pstable_hash(cfg, x, row) == tuple(int(c) for c in codes[row])
             seen.update(dims)
             if mode == "streamed":
-                assert cfg not in columns
+                assert cfg not in cache
             else:
-                assert columns[cfg].components == len(seen) * cfg.rows * cfg.power
-        assert len(lsh._PLANS) == 0
+                assert cache[cfg].components == len(seen) * cfg.rows * cfg.power
 
 
-def test_column_cache_memory_follows_seen_columns():
+@pytest.mark.parametrize("first", ["sparse", "dense"])
+@pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
+def test_dense_and_sparse_hashes_share_one_column_set(kind, first, cache):
+    cfg = kind_cfg(kind)
+    rng = np.random.default_rng(20)
+    X = rng.normal(size=(4, 16))
+    # first seen out of dimension order
+    vecs = [sparse_vec(rng, dims) for dims in ([9, 2, 14], [0, 5, 9], [15, 1])]
+    want = fresh_slots(cfg, X)
+
+    def dense():
+        assert np.array_equal(hash_matrix(cfg, X), want)
+        for x, w in zip(X, want):
+            assert np.array_equal(hash_all(cfg, DataVector.dense(x)), w)
+
+    def sparse():
+        for x in vecs:
+            assert np.array_equal(hash_all(cfg, x), fresh_slots(cfg, x.to_dense()[None, :])[0])
+
+    steps = (sparse, dense) if first == "sparse" else (dense, sparse)
+    for step in steps + steps:
+        step()
+    assert list(cache) == [cfg] and cached_components() == all_components(cfg)
+    # the columns are in dimension order: together they are the whole W
+    assert np.array_equal(cache[cfg].cols.T, projection_block(cfg, 0, cfg.rows))
+
+
+def test_column_cache_memory_follows_seen_columns(cache):
     cfg = LshConfig("l1", 5000, 2.0, 2, 50, 64, 4)
     rng = np.random.default_rng(16)
-    with column_mode("cached") as columns:
-        seen = set()
-        for _ in range(20):
-            dims = rng.choice(np.arange(0, 5000, 50), size=6, replace=False)
-            hash_all(cfg, sparse_vec(rng, dims, dim=5000))
-            seen.update(dims.tolist())
-            cache = columns[cfg]
-            assert cache.components == len(seen) * cfg.rows * cfg.power
-            assert cache.count <= cache.cols.shape[0] <= 2 * cache.count
-        assert cached_components() == len(seen) * cfg.rows * cfg.power
-        assert len(lsh._PLANS) == 0
+    seen = set()
+    for _ in range(20):
+        dims = rng.choice(np.arange(0, 5000, 50), size=6, replace=False)
+        hash_all(cfg, sparse_vec(rng, dims, dim=5000))
+        seen.update(dims.tolist())
+        entry = cache[cfg]
+        assert entry.components == len(seen) * cfg.rows * cfg.power
+        assert entry.count <= entry.cols.shape[0] <= 2 * entry.count
+    assert cached_components() == len(seen) * cfg.rows * cfg.power
 
 
-def test_cached_columns_are_read_only():
+def test_cached_columns_are_read_only(cache):
     cfg = kind_cfg("l2")
     rng = np.random.default_rng(17)
     x = sparse_vec(rng, [2, 3, 11])
-    with column_mode("cached") as columns:
-        before = hash_all(cfg, x)
-        cache = columns[cfg]
-        for a in (cache.cols, cache.b, cache.keys):
+    X = rng.normal(size=(3, 16))
+    want_x, want_X = fresh_slots(cfg, x.to_dense()[None, :])[0], fresh_slots(cfg, X)
+    hashes = [
+        lambda: hash_all(cfg, x),
+        lambda: hash_all(cfg, sparse_vec(rng, [0, 5])),  # grows the columns
+        lambda: hash_matrix(cfg, X),  # every column, put in dimension order
+    ]
+    for hash_some in hashes:
+        hash_some()
+        entry = cache[cfg]
+        for a in (entry.cols, entry.b, entry.keys):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0
-        hash_all(cfg, sparse_vec(rng, [0, 5]))  # grows the cache
-        assert not columns[cfg].cols.flags.writeable
-        projection_block(cfg, 0, cfg.rows, x.indices)[...] = 0.0
-        assert np.array_equal(hash_all(cfg, x), before)
-
-
-def test_plans_and_columns_share_one_lru_budget(monkeypatch):
-    rng = np.random.default_rng(18)
-    dense = DataVector.dense(np.ones(16))
-    a, b, c, d, e = (kind_cfg("l2", rows=rows) for rows in (10, 20, 30, 5, 40))
-    with column_mode("cached") as columns:
-        monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 2000)
-        steps = [
-            (a, dense),  # plan: 320
-            (b, sparse_vec(rng, range(8))),  # columns: 320
-            (c, dense),  # plan: 960
-            (b, sparse_vec(rng, range(4, 12))),  # columns grow to 480
-            (a, dense),  # a used again
-            (d, sparse_vec(rng, range(16))),  # columns: 160, total 1920
-            (e, dense),  # plan: 1280 evicts c's plan, then b's columns
-        ]
-        for cfg, x in steps:
-            hash_all(cfg, x)
-            assert cached_components() <= lsh._MAX_COMPONENTS
-        assert list(lsh._PLANS) == [a, e]
-        assert list(columns) == [d]
-        # a sparse call on a config whose plan is cached adds columns only
-        hash_all(a, sparse_vec(rng, [3]))
-        assert list(lsh._PLANS) == [a, e] and list(columns) == [d, a]
-
-
-def test_column_cache_shared_by_threads(monkeypatch):
-    # More threads than cores hash sparse vectors of configs whose column
-    # sets keep evicting each other.
-    cfgs = [kind_cfg(kind, rows=rows) for kind in ("srp", "l1") for rows in (20, 30)]
-    rng = np.random.default_rng(19)
-    vecs = [sparse_vec(rng, rng.choice(16, size=5, replace=False)) for _ in range(6)]
-    want = [[fresh_slots(cfg, x.to_dense()[None, :])[0] for x in vecs] for cfg in cfgs]
-    errors = []
-
-    def work(k):
-        try:
-            for i in range(100):
-                j, v = (i + k) % len(cfgs), (i * 5 + k) % len(vecs)
-                if not np.array_equal(hash_all(cfgs[j], vecs[v]), want[j][v]):
-                    errors.append(f"thread {k}: wrong slots for config {j}, vector {v}")
-        except Exception as exc:  # reported below
-            errors.append(repr(exc))
-
-    with column_mode("cached") as columns:
-        monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 1500)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert cached_components() <= lsh._MAX_COMPONENTS
-        for cache in columns.values():
-            seen = np.flatnonzero(cache.where >= 0)
-            assert cache.count == seen.size
-            assert np.array_equal(np.sort(cache.where[seen]), np.arange(seen.size))
+    for _r0, _r1, W, b in hash_blocks(cfg):
+        for a in (W, b):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+    projection_block(cfg, 0, cfg.rows)[...] = 0.0
+    projection_block(cfg, 0, cfg.rows, x.indices)[...] = 0.0
+    offset_block(cfg, 0, cfg.rows)[...] = 0.0
+    assert np.array_equal(hash_all(cfg, x), want_x)
+    assert np.array_equal(hash_matrix(cfg, X), want_X)
