@@ -294,6 +294,18 @@ def test_plan_built_lazily(cache):
 
 
 def test_plan_cache_bounded_lru(cache, monkeypatch):
+    monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 2000)
+    x = DataVector.dense(np.ones(16))
+    a, b, c, d, big = (kind_cfg("l2", rows=rows) for rows in (10, 20, 30, 5, 63))
+    for cfg in (a, b, c, a, d, big):  # 320, 640, 960, 160, 2016 components
+        hash_all(cfg, x)
+        assert cached_components() <= lsh._MAX_COMPONENTS
+    # a was used again after b, so b went first; big never fit the cap
+    assert list(cache) == [c, a, d]
+    assert all(entry.components == all_components(cfg) for cfg, entry in cache.items())
+
+
+def test_plans_and_columns_share_one_lru_budget(cache, monkeypatch):
     # Dense and sparse hashes share one LRU order and one bound.
     monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 2000)
     rng = np.random.default_rng(18)
@@ -466,16 +478,36 @@ def test_column_cache_memory_follows_seen_columns(cache):
     assert cached_components() == len(seen) * cfg.rows * cfg.power
 
 
+def test_plan_is_read_only_and_isolated(cache):
+    # A dense hash caches every column, put in dimension order.
+    cfg = kind_cfg("l2")
+    X = np.random.default_rng(12).normal(size=(3, 16))
+    before = hash_matrix(cfg, X)
+    assert np.array_equal(before, fresh_slots(cfg, X))
+    entry = cache[cfg]
+    assert entry.components == all_components(cfg)
+    for a in (entry.cols, entry.b, entry.keys):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    for _r0, _r1, W, b in hash_blocks(cfg):
+        for a in (W, b):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+    projection_block(cfg, 0, cfg.rows)[...] = 0.0
+    offset_block(cfg, 0, cfg.rows)[...] = 0.0
+    assert np.array_equal(hash_matrix(cfg, X), before)
+    assert np.array_equal(hash_all(cfg, DataVector.dense(X[0])), before[0])
+
+
 def test_cached_columns_are_read_only(cache):
     cfg = kind_cfg("l2")
     rng = np.random.default_rng(17)
     x = sparse_vec(rng, [2, 3, 11])
-    X = rng.normal(size=(3, 16))
-    want_x, want_X = fresh_slots(cfg, x.to_dense()[None, :])[0], fresh_slots(cfg, X)
+    want_x = fresh_slots(cfg, x.to_dense()[None, :])[0]
     hashes = [
         lambda: hash_all(cfg, x),
         lambda: hash_all(cfg, sparse_vec(rng, [0, 5])),  # grows the columns
-        lambda: hash_matrix(cfg, X),  # every column, put in dimension order
     ]
     for hash_some in hashes:
         hash_some()
@@ -484,12 +516,6 @@ def test_cached_columns_are_read_only(cache):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0
-    for _r0, _r1, W, b in hash_blocks(cfg):
-        for a in (W, b):
-            with pytest.raises(ValueError):
-                a[0] = 1.0
-    projection_block(cfg, 0, cfg.rows)[...] = 0.0
     projection_block(cfg, 0, cfg.rows, x.indices)[...] = 0.0
     offset_block(cfg, 0, cfg.rows)[...] = 0.0
     assert np.array_equal(hash_all(cfg, x), want_x)
-    assert np.array_equal(hash_matrix(cfg, X), want_X)
