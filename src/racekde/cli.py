@@ -37,15 +37,18 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=["dense", "sparse"], default="dense")
         p.add_argument("--dim", type=int, help="dimension (required for sparse input)")
 
+    def add_family(p):
+        p.add_argument("--kind", choices=["srp", "l2", "l1"], required=True)
+        p.add_argument("--sigma", type=float, default=1.0)
+        p.add_argument("--power", type=int, default=1)
+        p.add_argument("--range", type=int, dest="hash_range")
+        p.add_argument("--seed", type=int, default=0)
+
     p_sketch = sub.add_parser("sketch", help="build a sketch from a dataset in one pass")
     p_sketch.add_argument("--input", required=True)
     add_format(p_sketch)
-    p_sketch.add_argument("--kind", choices=["srp", "l2", "l1"], required=True)
-    p_sketch.add_argument("--sigma", type=float, default=1.0)
-    p_sketch.add_argument("--power", type=int, default=1)
+    add_family(p_sketch)
     p_sketch.add_argument("--rows", type=int, required=True)
-    p_sketch.add_argument("--range", type=int, dest="hash_range")
-    p_sketch.add_argument("--seed", type=int, default=0)
     p_sketch.add_argument("--storage", choices=["dense", "sparse", "auto"], default="auto")
     p_sketch.add_argument("--output", required=True)
 
@@ -67,11 +70,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--input", required=True)
     p_eval.add_argument("--queries", required=True)
     add_format(p_eval)
-    p_eval.add_argument("--kind", choices=["srp", "l2", "l1"], required=True)
-    p_eval.add_argument("--sigma", type=float, default=1.0)
-    p_eval.add_argument("--power", type=int, default=1)
-    p_eval.add_argument("--range", type=int, dest="hash_range")
-    p_eval.add_argument("--seed", type=int, default=0)
+    add_family(p_eval)
     p_eval.add_argument("--groups", type=int, default=9)
     p_eval.add_argument("--methods", default="race,rs")
     p_eval.add_argument("--sizes", required=True, help="comma-separated byte budgets")
@@ -103,8 +102,25 @@ def _from_flags(build, **fields):
         raise _UsageError(str(exc)) from None
 
 
-def _check_groups_fit(groups: int, rows: int) -> None:
-    if groups > rows:
+def _config(args, dim: int, rows: int, seed: int) -> LshConfig:
+    """The sketch config of the family flags; srp has no sigma."""
+    return _from_flags(
+        LshConfig,
+        kind=Family(args.kind),
+        dim=dim,
+        sigma=args.sigma if args.kind != "srp" else 0.0,
+        power=args.power,
+        rows=rows,
+        hash_range=_default_range(args.kind, args.power, args.hash_range),
+        seed=seed,
+    )
+
+
+def _check_groups(groups: int, rows: Optional[int] = None) -> None:
+    """--groups must be odd, and at most the sketch's rows when given."""
+    if groups % 2 == 0 or groups < 1:
+        raise _UsageError("--groups must be a positive odd integer")
+    if rows is not None and groups > rows:
         raise _UsageError(f"--groups {groups} exceeds the sketch's {rows} rows")
 
 
@@ -118,26 +134,13 @@ def _reader(path: str, fmt: str, dim: Optional[int]):
     return read_dense(path, dim)
 
 
-def _load_queries(args):
-    return list(_reader(args.queries, args.format, args.dim))
-
-
 def cmd_sketch(args) -> int:
     start = time.monotonic()
     stream = _reader(args.input, args.format, args.dim)
     sketch = None
     for x in stream:
         if sketch is None:
-            cfg = _from_flags(
-                LshConfig,
-                kind=Family(args.kind),
-                dim=x.dim,
-                sigma=args.sigma if args.kind != "srp" else 0.0,
-                power=args.power,
-                rows=args.rows,
-                hash_range=_default_range(args.kind, args.power, args.hash_range),
-                seed=args.seed,
-            )
+            cfg = _config(args, x.dim, args.rows, args.seed)
             sketch = _from_flags(RaceSketch, config=cfg, storage=args.storage)
         sketch.add(x)
     if sketch is None:
@@ -149,10 +152,9 @@ def cmd_sketch(args) -> int:
 
 
 def cmd_query(args) -> int:
-    if args.groups % 2 == 0 or args.groups < 1:
-        raise _UsageError("--groups must be a positive odd integer")
+    _check_groups(args.groups)
     sketch = RaceSketch.deserialize(args.sketch_file)
-    _check_groups_fit(args.groups, sketch.config.rows)
+    _check_groups(args.groups, sketch.config.rows)
     size = sketch.memory_bytes()
     params = (
         f"kind={sketch.config.kind.value},rows={sketch.config.rows},"
@@ -209,8 +211,7 @@ def cmd_info(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.groups % 2 == 0 or args.groups < 1:
-        raise _UsageError("--groups must be a positive odd integer")
+    _check_groups(args.groups)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in ("race", "rs"):
@@ -229,13 +230,13 @@ def cmd_eval(args) -> int:
             rows = race_rows[budget] = (budget - HEADER_SIZE - 4) // (8 * hash_range)
             if rows < 1:
                 raise _UsageError(f"budget {budget} too small for range {hash_range}")
-            _check_groups_fit(args.groups, rows)
+            _check_groups(args.groups, rows)
 
     dataset = list(_reader(args.input, args.format, args.dim))
     if not dataset:
         raise DatasetFormatError(0, "input contains no vectors")
     dim = dataset[0].dim
-    queries = _load_queries(args)
+    queries = list(_reader(args.queries, args.format, args.dim))
     kernel = _from_flags(
         KernelEval,
         kind=Family(args.kind),
@@ -251,17 +252,7 @@ def cmd_eval(args) -> int:
                 seed = derive_seed(args.seed, method, rep * 10_000_000 + budget)
                 if method == "race":
                     rows = race_rows[budget]
-                    cfg = _from_flags(
-                        LshConfig,
-                        kind=Family(args.kind),
-                        dim=dim,
-                        sigma=args.sigma if args.kind != "srp" else 0.0,
-                        power=args.power,
-                        rows=rows,
-                        hash_range=hash_range,
-                        seed=seed,
-                    )
-                    sketch = RaceSketch(cfg)
+                    sketch = RaceSketch(_config(args, dim, rows, seed))
                     for x in dataset:
                         sketch.add(x)
                     size = sketch.memory_bytes()

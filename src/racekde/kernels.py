@@ -125,6 +125,8 @@ class KernelEval:
                 raise ValueError("srp kernels are never rehashed")
         elif not (self.sigma and self.sigma > 0):
             raise ValueError("sigma must be positive for l2/l1")
+        elif not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
         if self.rehash_range is not None and self.rehash_range < 2:
             raise ValueError("rehash_range must be >= 2")
 

@@ -21,6 +21,10 @@ are cached, and the same cap bounds the cache's total, evicting the least
 recently used config; larger configs generate row blocks on every call.
 scipy, slow to import, is loaded only to draw srp/l2 projections.
 
+Every hash runs one block loop, :func:`slot_blocks`: row blocks outside,
+so an uncached config generates each block once, and point chunks inside,
+which bound the slot matrix.
+
 The p-stable code tuples have unbounded range and are folded to a finite
 slot range with a seeded universal-style hash ("rehashing"). The variant
 implemented here is identified by :data:`REHASH_FAMILY_ID` and recorded in
@@ -30,6 +34,7 @@ serialized sketches, since merged sketches must agree on it bit-for-bit.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -54,7 +59,9 @@ __all__ = [
     "hash_all",
     "hash_matrix",
     "hash_blocks",
+    "slot_blocks",
     "slots_for_block",
+    "check_points",
     "derive_seed",
 ]
 
@@ -146,6 +153,8 @@ class LshConfig:
             raise ValueError("power must be >= 1")
         if self.rows < 1:
             raise ValueError("rows must be >= 1")
+        if not math.isfinite(self.sigma):
+            raise ValueError("sigma must be finite")
         if self.kind is Family.SRP:
             if self.hash_range != 2**self.power:
                 raise ValueError(
@@ -242,23 +251,16 @@ def _fold(codes: np.ndarray, keys: np.ndarray, hash_range: int) -> np.ndarray:
     return state % np.uint64(hash_range)
 
 
-def _rehash_fold(codes: np.ndarray, row_start: int, hash_range: int, seed: int) -> np.ndarray:
-    """Fold integer code tuples into slots in [0, hash_range).
-
-    ``codes`` has shape (n, rows, p) with signed integer entries; the
-    result has shape (n, rows). Equal tuples in the same row always map to
-    the same slot; distinct tuples collide with probability ~1/hash_range.
-    """
-    keys = _fold_keys(seed, row_start, row_start + codes.shape[1])
-    return _fold(codes, keys, hash_range)
-
-
 def rehash(code: Sequence[int], row: int, hash_range: int, seed: int) -> int:
-    """Universal-style hash of one (row, code tuple) into [0, hash_range)."""
+    """Universal-style hash of one (row, code tuple) into [0, hash_range).
+
+    Equal tuples in the same row always map to the same slot; distinct
+    tuples collide with probability ~1/hash_range.
+    """
     if hash_range < 2:
         raise ValueError("hash_range must be >= 2")
     arr = np.asarray(code, dtype=np.int64).reshape(1, 1, -1)
-    return int(_rehash_fold(arr, row, hash_range, seed)[0, 0])
+    return int(_fold(arr, _fold_keys(seed, row, row + 1), hash_range)[0, 0])
 
 
 def _to_slots(
@@ -290,6 +292,8 @@ def _to_slots(
 # Projection components held at once: the cap on a generated row block and
 # on the total size of the projection cache.
 _MAX_COMPONENTS = 4_000_000
+# Slots of a point chunk, counted against a one-point row block.
+_CHUNK_ITEM_ROWS = 20_000_000
 
 _HashState = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 
@@ -429,17 +433,15 @@ def slots_for_block(
     W: np.ndarray,
     b: Optional[np.ndarray],
     row_start: int,
-    keys: Optional[np.ndarray] = None,
+    keys: Optional[np.ndarray],
 ) -> np.ndarray:
     """Slot indices for a block of rows against a dense point matrix.
 
     X is (n, k); W, b are the outputs of projection_block / offset_block
     for rows [row_start, row_start + m) on the same k input dimensions (all
     dim of them, or a sparse point's nonzeros), and ``keys`` their fold keys
-    (derived from the config when omitted). Returns uint64 slots (n, m).
+    (None for srp). Returns uint64 slots (n, m).
     """
-    if keys is None and cfg.kind is not Family.SRP:
-        keys = _fold_keys(cfg.seed, row_start, row_start + W.shape[0] // cfg.power)
     return _to_slots(cfg, X @ W.T, b, keys)
 
 
@@ -474,27 +476,47 @@ def hash_blocks(
         yield r0, r1, W, b
 
 
-def hash_matrix(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
-    """Slot indices for every (point, row) pair; X is (n, dim) dense.
+def slot_blocks(
+    cfg: LshConfig, X: np.ndarray, dims: Optional[np.ndarray] = None
+) -> Iterator[Tuple[int, int, int, np.ndarray]]:
+    """Yield (row_start, row_stop, point_start, slots): the uint64 slots
+    on rows [row_start, row_stop) of a chunk of points of the checked
+    float64 matrix X, from point_start on. X's columns are the input
+    dimensions ``dims`` (every dimension when None)."""
+    n = X.shape[0]
+    width = cfg.dim if dims is None else dims.size
+    chunk = max(1, _CHUNK_ITEM_ROWS // _row_block_size(cfg, 1, width))
+    for r0, r1, W, b, keys in _blocks(cfg, min(n, chunk), dims):
+        for n0 in range(0, n, chunk):
+            yield r0, r1, n0, slots_for_block(cfg, X[n0 : n0 + chunk], W, b, r0, keys)
 
-    Returns a uint64 array of shape (n, rows) with entries in
-    [0, hash_range).
-    """
+
+def check_points(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
+    """X as a float64 matrix of finite points of cfg's dimension, one per
+    row; raises DimensionMismatchError or NonFiniteInputError otherwise."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != cfg.dim:
         raise DimensionMismatchError(
             f"expected points of dimension {cfg.dim}, got shape {X.shape}"
         )
     check_finite(X)
-    return _slots(cfg, X)
+    return X
+
+
+def hash_matrix(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
+    """Slot indices for every (point, row) pair; X is (n, dim) dense.
+
+    Returns a uint64 array of shape (n, rows) with entries in
+    [0, hash_range).
+    """
+    return _slots(cfg, check_points(cfg, X))
 
 
 def _slots(cfg: LshConfig, X: np.ndarray, dims: Optional[np.ndarray] = None) -> np.ndarray:
-    """Slots (n, rows) of an already checked float64 matrix X whose columns
-    are the input dimensions ``dims``, or every dimension when dims is None."""
+    """Slots (n, rows) of a checked float64 matrix X, as in slot_blocks."""
     out = np.empty((X.shape[0], cfg.rows), dtype=np.uint64)
-    for r0, r1, W, b, keys in _blocks(cfg, X.shape[0], dims):
-        out[:, r0:r1] = slots_for_block(cfg, X, W, b, r0, keys)
+    for r0, r1, n0, slots in slot_blocks(cfg, X, dims):
+        out[n0 : n0 + slots.shape[0], r0:r1] = slots
     return out
 
 

@@ -56,13 +56,12 @@ from .lsh import (
     Family,
     LshConfig,
     REHASH_FAMILY_ID,
-    _blocks,
-    _row_block_size,
+    check_points,
     hash_all,
     hash_matrix,
-    slots_for_block,
+    slot_blocks,
 )
-from .vectors import DataVector, DimensionMismatchError, check_finite
+from .vectors import DataVector
 
 __all__ = [
     "RaceSketch",
@@ -224,30 +223,18 @@ class RaceSketch:
 
     def add_matrix(self, X: np.ndarray) -> None:
         """Bulk insert of dense points, one per matrix row."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.config.dim:
-            raise DimensionMismatchError(
-                f"expected points of dimension {self.config.dim}, got {X.shape}"
-            )
-        check_finite(X)
-        n = X.shape[0]
+        X = check_points(self.config, X)
         R = self.config.hash_range
-        chunk = max(1, int(2e7 // _row_block_size(self.config, 1, self.config.dim)))
-        for r0, r1, W, b, keys in _blocks(self.config, min(n, chunk)):
-            m = r1 - r0
-            local = np.arange(m, dtype=np.uint64) * np.uint64(R)
-            for n0 in range(0, n, chunk):
-                slots = slots_for_block(self.config, X[n0 : n0 + chunk], W, b, r0, keys)
-                self._store.add(*tally(slots + local[None, :], r0 * R, m * R))
-        self.items += n
+        for r0, r1, _n0, slots in slot_blocks(self.config, X):
+            local = np.arange(r1 - r0, dtype=np.uint64) * np.uint64(R)
+            self._store.add(*tally(slots + local, r0 * R, (r1 - r0) * R))
+        self.items += X.shape[0]
 
     def remove_matrix(self, X: np.ndarray) -> None:
-        """Bulk delete of previously-added dense points."""
+        """Bulk delete of previously-added dense points; all or nothing,
+        since the points are tallied into a throwaway sketch first."""
         other = RaceSketch(self.config, self.storage)
         other.add_matrix(X)
-        self._subtract(other)
-
-    def _subtract(self, other: "RaceSketch") -> None:
         if other.items > self.items:
             raise UnmatchedDeletionError("removing more items than present")
         self._store.subtract(*other._store.counters())
@@ -307,7 +294,16 @@ class RaceSketch:
     def _counters_at(self, slots: np.ndarray) -> np.ndarray:
         return self._store.gather(self._row_keys(slots))
 
-    def _group_means(self, counters: np.ndarray, groups: int) -> np.ndarray:
+    def estimate(self, q: DataVector, groups: int = 9) -> KdeEstimate:
+        """Median of the means of ``groups`` (odd) groups of L // groups
+        counters at q's slots, normalized by N.
+
+        For l2/l1 each group mean is shifted by the rehash floor 1/R and
+        rescaled by R/(R-1), which makes it unbiased for the plain kernel
+        density; it can be slightly negative for tiny densities and is
+        returned as-is (see ``clamped_value``).
+        """
+        counters = self.raw_query(q)
         L = self.config.rows
         if groups < 1 or groups > L:
             raise ValueError(f"groups must lie in [1, {L}], got {groups}")
@@ -315,35 +311,23 @@ class RaceSketch:
             raise ValueError("groups must be odd so the median is a group mean")
         size = L // groups
         used = counters[: groups * size].astype(np.float64).reshape(groups, size)
-        return used.mean(axis=1) / self.items
+        means = used.mean(axis=1) / self.items
+        if self.config.kind is not Family.SRP:
+            R = float(self.config.hash_range)
+            means = (means - 1.0 / R) * R / (R - 1.0)
+        return KdeEstimate(float(np.median(means)), means, groups)
 
     def estimate_finite(self, q: DataVector, groups: int = 9) -> KdeEstimate:
         """Median-of-means density estimate for a finite-range (srp) sketch."""
         if self.config.kind is not Family.SRP:
             raise ValueError("estimate_finite applies to srp sketches only")
-        means = self._group_means(self.raw_query(q), groups)
-        return KdeEstimate(float(np.median(means)), means, groups)
+        return self.estimate(q, groups)
 
     def estimate_rehashed(self, q: DataVector, groups: int = 9) -> KdeEstimate:
-        """Debiased median-of-means estimate for a rehashed (l2/l1) sketch.
-
-        Each group mean is shifted by the rehash floor 1/R and rescaled by
-        R/(R-1), which makes the per-row value unbiased for the plain
-        kernel density. The result can be slightly negative for tiny
-        densities and is returned as-is; see ``clamped_value``.
-        """
+        """Debiased median-of-means estimate for a rehashed (l2/l1) sketch."""
         if self.config.kind is Family.SRP:
             raise ValueError("estimate_rehashed applies to l2/l1 sketches only")
-        R = float(self.config.hash_range)
-        means = self._group_means(self.raw_query(q), groups)
-        debiased = (means - 1.0 / R) * R / (R - 1.0)
-        return KdeEstimate(float(np.median(debiased)), debiased, groups)
-
-    def estimate(self, q: DataVector, groups: int = 9) -> KdeEstimate:
-        """Dispatch to the estimator matching this sketch's family."""
-        if self.config.kind is Family.SRP:
-            return self.estimate_finite(q, groups)
-        return self.estimate_rehashed(q, groups)
+        return self.estimate(q, groups)
 
     @staticmethod
     def clamped_value(estimate: KdeEstimate) -> float:

@@ -71,6 +71,13 @@ def crafted_file(rows, hash_range, storage_code, payload=bytes(12), items=0, wid
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def with_sigma(data, sigma):
+    """A sketch file with its header sigma rewritten and its CRC redone."""
+    body = bytearray(data[:-4])
+    struct.pack_into("<d", body, 30, sigma)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
 def with_items(data, items):
     """A sketch file with its header item count rewritten and its CRC redone."""
     body = bytearray(data[:-4])

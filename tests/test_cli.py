@@ -12,7 +12,7 @@ from racekde.cli import main
 from racekde.lsh import LshConfig
 from racekde.sketch import RaceSketch
 
-from helpers import crafted_file, with_items
+from helpers import crafted_file, with_items, with_sigma
 
 
 @pytest.fixture
@@ -397,3 +397,25 @@ def test_scipy_loaded_only_for_srp_l2(data_dir, tmp_path):
     assert got["srp"] == hash_all(LshConfig("srp", 4, 0.0, 3, 30, 8, 5), x).tolist()
     assert got["l2"] == hash_all(LshConfig("l2", 4, 1.5, 2, 30, 64, 5), x).tolist()
     assert got["l2_collision"] == l2_collision([0.0, 0.3, 1.7, 9.0], 1.5).tolist()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("command", ["sketch", "eval"])
+def test_non_finite_sigma_exits_one(data_dir, capsys, command, value):
+    if command == "sketch":
+        args = _sketch_args(data_dir, data_dir / "s.bin")
+    else:
+        args = _eval_args(data_dir, "--kind", "l2", "--range", "16", "--sizes", "2000")
+    assert main(args + [f"--sigma={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("racekde: error: sigma must be") and "Traceback" not in err
+    assert not (data_dir / "s.bin").exists() and not (data_dir / "e.csv").exists()
+
+
+def test_info_non_finite_sigma_exits_two(data_dir, capsys):
+    path = data_dir / "s.bin"
+    assert main(_sketch_args(data_dir, path)) == 0
+    path.write_bytes(with_sigma(path.read_bytes(), float("inf")))
+    capsys.readouterr()
+    assert main(["info", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("racekde: error: invalid config in header")

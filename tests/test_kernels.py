@@ -119,3 +119,10 @@ def test_kernel_between_uses_right_metric():
     assert l1.between(x, y) == pytest.approx(float(l1_collision(3.0, 2.0)))
     srp = KernelEval(kind="srp")
     assert srp.between(x, x) == 1.0
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", ["l2", "l1"])
+def test_kernel_rejects_non_finite_sigma(kind, sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        KernelEval(kind=kind, sigma=sigma)

@@ -11,7 +11,8 @@ from racekde.kernels import angular_collision, l2_collision, mc_collision
 from racekde.lsh import (
     Family,
     LshConfig,
-    _rehash_fold,
+    _fold,
+    _fold_keys,
     derive_seed,
     hash_all,
     hash_blocks,
@@ -149,7 +150,7 @@ def test_rehash_uniformity():
     tuples = rng.integers(-(2**40), 2**40, size=(10**5, 2))
     tuples = np.unique(tuples, axis=0)
     n = tuples.shape[0] - 1
-    slots = _rehash_fold(tuples[:, None, :], 0, 1024, 3)[:, 0]
+    slots = _fold(tuples[:, None, :], _fold_keys(3, 0, 1), 1024)[:, 0]
     hits = np.mean(slots[1:] == slots[:-1])
     p = 1 / 1024
     se = np.sqrt(p * (1 - p) / n)
@@ -224,7 +225,7 @@ def fresh_slots(cfg, X, fold=True):
             continue
         codes = np.floor((proj + offset_block(cfg, r0, r1)) / cfg.sigma).astype(np.int64)
         codes = codes.reshape(n, r1 - r0, p)
-        out.append(_rehash_fold(codes, r0, cfg.hash_range, cfg.seed) if fold else codes)
+        out.append(_fold(codes, _fold_keys(cfg.seed, r0, r1), cfg.hash_range) if fold else codes)
     return np.concatenate(out, axis=1)
 
 
@@ -519,3 +520,38 @@ def test_cached_columns_are_read_only(cache):
     projection_block(cfg, 0, cfg.rows, x.indices)[...] = 0.0
     offset_block(cfg, 0, cfg.rows)[...] = 0.0
     assert np.array_equal(hash_all(cfg, x), want_x)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
+def test_non_finite_sigma_rejected(kind, sigma):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        LshConfig(kind, 4, sigma, 2, 10, 4 if kind == "srp" else 16, 1)
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("mode", CACHE_MODES)
+@pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
+def test_chunked_matrix_paths_match_per_point(kind, mode, storage):
+    """hash_matrix, add_matrix and raw_query_matrix over several point
+    chunks (and, unless cached whole, several row blocks) equal the
+    per-point hash_all, add and raw_query."""
+    cfg = kind_cfg(kind)
+    rng = np.random.default_rng(19)
+    X, Q = rng.normal(size=(11, 16)), rng.normal(size=(7, 16))
+    with cache_mode(mode), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lsh, "_CHUNK_ITEM_ROWS", 3 * lsh._row_block_size(cfg, 1, cfg.dim))
+        blocks = [(r0, n0) for r0, _r1, n0, _slots in lsh.slot_blocks(cfg, X)]
+        assert {n0 for _r0, n0 in blocks} == {0, 3, 6, 9}
+        assert len({r0 for r0, _n0 in blocks}) == (1 if mode == "cached" else 7)
+        assert (cfg in lsh._CACHE) == (mode != "streamed")
+
+        want = np.array([hash_all(cfg, DataVector.dense(x)) for x in X])
+        assert np.array_equal(hash_matrix(cfg, X), want)
+        bulk, loop = RaceSketch(cfg, storage), RaceSketch(cfg, storage)
+        bulk.add_matrix(X)
+        for x in X:
+            loop.add(DataVector.dense(x))
+        assert bulk == loop and bulk.to_bytes() == loop.to_bytes()
+        want_counters = [loop.raw_query(DataVector.dense(q)) for q in Q]
+        assert np.array_equal(bulk.raw_query_matrix(Q), want_counters)

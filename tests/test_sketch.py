@@ -18,7 +18,7 @@ from racekde.sketch import (
 )
 from racekde.vectors import DataVector, NonFiniteInputError
 
-from helpers import crafted_file, with_items
+from helpers import crafted_file, with_items, with_sigma
 
 RNG = np.random.default_rng(42)
 
@@ -428,3 +428,12 @@ def test_non_finite_matrices_rejected_unchanged(storage, bad):
         with pytest.raises(NonFiniteInputError):
             call(Y)
     assert s.to_bytes() == before
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["srp", "l2"])
+def test_non_finite_header_sigma_is_format_error(kind, sigma):
+    s = RaceSketch(srp_cfg() if kind == "srp" else l2_cfg())
+    s.add(rand_vec())
+    with pytest.raises(SketchFormatError, match="sigma must be finite"):
+        RaceSketch.from_bytes(with_sigma(s.to_bytes(), sigma))
