@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional
 
 from .baselines import ReservoirSample, exact_kde, sample_bytes
@@ -80,13 +81,12 @@ def _build_parser() -> _Parser:
 
 
 def _default_range(kind: str, power: int, hash_range: Optional[int]) -> int:
+    """--range, or srp's 2**power when it is missing; LshConfig judges it."""
+    if hash_range is not None:
+        return hash_range
     if kind == "srp":
-        if hash_range is not None and hash_range != 2**power:
-            raise _UsageError(f"srp range must be 2**power = {2**power}")
         return 2**power
-    if hash_range is None:
-        raise _UsageError("--range is required for l2/l1")
-    return hash_range
+    raise _UsageError("--range is required for l2/l1")
 
 
 class _UsageError(Exception):
@@ -124,14 +124,18 @@ def _check_groups(groups: int, rows: Optional[int] = None) -> None:
         raise _UsageError(f"--groups {groups} exceeds the sketch's {rows} rows")
 
 
-def _reader(path: str, fmt: str, dim: Optional[int]):
+def _reader(path: str, fmt: str, dim: Optional[int], want: Optional[int] = None):
+    """The vectors of path, read at --dim, or at ``want`` when given: a
+    --dim that differs from ``want`` is a data error."""
     if dim is not None and dim < 1:
         raise _UsageError("--dim must be positive")
-    if fmt == "sparse":
-        if dim is None:
-            raise _UsageError("--dim is required for sparse input")
-        return read_sparse(path, dim)
-    return read_dense(path, dim)
+    if fmt == "sparse" and dim is None:
+        raise _UsageError("--dim is required for sparse input")
+    if want is not None:
+        if dim not in (None, want):
+            raise DimensionMismatchError(f"expected dimension {want}, got --dim {dim}")
+        dim = want
+    return read_sparse(path, dim) if fmt == "sparse" else read_dense(path, dim)
 
 
 def cmd_sketch(args) -> int:
@@ -162,11 +166,7 @@ def cmd_query(args) -> int:
         f"groups={args.groups}"
     )
     records = []
-    for qid, q in enumerate(_reader(args.queries, args.format, args.dim)):
-        try:
-            est = sketch.estimate(q, args.groups)
-        except DimensionMismatchError as exc:
-            raise DatasetFormatError(qid + 1, str(exc)) from None
+    for qid, q in enumerate(_reader(args.queries, args.format, args.dim, sketch.config.dim)):
         records.append(
             EvalRecord(
                 query_id=qid,
@@ -174,7 +174,7 @@ def cmd_query(args) -> int:
                 params=params,
                 bytes=size,
                 exact=None,
-                estimate=est.value,
+                estimate=sketch.estimate(q, args.groups).value,
             )
         )
     write_eval_csv(records, args.output)
@@ -223,20 +223,21 @@ def cmd_eval(args) -> int:
     if args.repeats < 1:
         raise _UsageError("--repeats must be >= 1")
 
-    hash_range = _default_range(args.kind, args.power, args.hash_range)
-    race_rows = {}  # checked before any data is read
-    if "race" in methods:
-        for budget in sizes:
-            rows = race_rows[budget] = (budget - HEADER_SIZE - 4) // (8 * hash_range)
-            if rows < 1:
-                raise _UsageError(f"budget {budget} too small for range {hash_range}")
-            _check_groups(args.groups, rows)
-
     dataset = list(_reader(args.input, args.format, args.dim))
     if not dataset:
         raise DatasetFormatError(0, "input contains no vectors")
     dim = dataset[0].dim
-    queries = list(_reader(args.queries, args.format, args.dim))
+    # Every budget's config is checked before any exact density is computed.
+    base = _config(args, dim, 1, 0)  # each run derives its own seed
+    race_configs = {}
+    if "race" in methods:
+        for budget in sizes:
+            rows = (budget - HEADER_SIZE - 4) // (8 * base.hash_range)
+            if rows < 1:
+                raise _UsageError(f"budget {budget} too small for range {base.hash_range}")
+            _check_groups(args.groups, rows)
+            race_configs[budget] = replace(base, rows=rows)
+    queries = list(_reader(args.queries, args.format, args.dim, dim))
     kernel = _from_flags(
         KernelEval,
         kind=Family(args.kind),
@@ -251,12 +252,12 @@ def cmd_eval(args) -> int:
             for method in methods:
                 seed = derive_seed(args.seed, method, rep * 10_000_000 + budget)
                 if method == "race":
-                    rows = race_rows[budget]
-                    sketch = RaceSketch(_config(args, dim, rows, seed))
+                    sketch = RaceSketch(replace(race_configs[budget], seed=seed))
                     for x in dataset:
                         sketch.add(x)
                     size = sketch.memory_bytes()
-                    params = f"budget={budget},rows={rows},range={hash_range},rep={rep}"
+                    rows = sketch.config.rows
+                    params = f"budget={budget},rows={rows},range={base.hash_range},rep={rep}"
                     estimates = [sketch.estimate(q, args.groups).value for q in queries]
                 else:
                     per_sample = sample_bytes(dataset[:1])

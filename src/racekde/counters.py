@@ -140,7 +140,7 @@ class DenseStore:
     64-bit wrap only when one could occur; handing ``counts`` out drops the
     bound, since the caller may write into the array."""
 
-    code = 0
+    name, code = "dense", 0
 
     def __init__(self, rows: int, R: int, counts: Optional[np.ndarray] = None, peak: int = 0):
         self.rows, self.R = rows, R
@@ -216,7 +216,7 @@ class SparseStore:
     counter from above, so ``add`` looks counters up only when one could
     pass 64 bits."""
 
-    code = 1
+    name, code = "sparse", 1
 
     def __init__(self, rows: int, R: int):
         self.rows, self.R = rows, R
@@ -330,4 +330,4 @@ class SparseStore:
         return store
 
 
-STORES = {"dense": DenseStore, "sparse": SparseStore}
+STORES = {cls.name: cls for cls in (DenseStore, SparseStore)}

@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import vectors
-from .lsh import Family, LshConfig, _blocks, _to_slots, hash_matrix
+from .lsh import Family, LshConfig, hash_blocks, hash_matrix, slots_for_block
 from .vectors import DataVector
 
 __all__ = [
@@ -188,7 +188,7 @@ def mc_collision(
         hits = slots[0] == slots[1]
     else:
         hits = np.empty(trials, dtype=bool)
-        for r0, r1, W, b, _keys in _blocks(mc_cfg, 2):
-            codes = _to_slots(mc_cfg, X @ W.T, b, None)
+        for r0, r1, W, b in hash_blocks(mc_cfg):
+            codes = slots_for_block(mc_cfg, X, W, b, r0, None)
             hits[r0:r1] = np.all(codes[0] == codes[1], axis=-1)
     return float(np.mean(hits))

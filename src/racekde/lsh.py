@@ -22,8 +22,12 @@ recently used config; larger configs generate row blocks on every call.
 scipy, slow to import, is loaded only to draw srp/l2 projections.
 
 Every hash runs one block loop, :func:`slot_blocks`: row blocks outside,
-so an uncached config generates each block once, and point chunks inside,
-which bound the slot matrix.
+so an uncached config generates each block once, and point chunks inside.
+A row block holds as many rows as keep its power * width projection
+components (width is dim, or a sparse input's nnz) within the 4e6 cap, and
+never fewer than one row. A point chunk holds at most 2e7 slots and twice
+that many projections, so the memory of a hash call does not grow with its
+number of points.
 
 The p-stable code tuples have unbounded range and are folded to a finite
 slot range with a seeded universal-style hash ("rehashing"). The variant
@@ -292,7 +296,7 @@ def _to_slots(
 # Projection components held at once: the cap on a generated row block and
 # on the total size of the projection cache.
 _MAX_COMPONENTS = 4_000_000
-# Slots of a point chunk, counted against a one-point row block.
+# Slots of a point chunk; its projections are bounded by twice this.
 _CHUNK_ITEM_ROWS = 20_000_000
 
 _HashState = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
@@ -440,39 +444,34 @@ def slots_for_block(
     X is (n, k); W, b are the outputs of projection_block / offset_block
     for rows [row_start, row_start + m) on the same k input dimensions (all
     dim of them, or a sparse point's nonzeros), and ``keys`` their fold keys
-    (None for srp). Returns uint64 slots (n, m).
+    (None for srp). Returns uint64 slots (n, m), or for l2/l1 with ``keys``
+    None the unfolded int64 codes (n, m, power).
     """
     return _to_slots(cfg, X @ W.T, b, keys)
 
 
-def _row_block_size(cfg: LshConfig, n_points: int, width: int) -> int:
-    # Cap the projection block and the per-chunk slot matrix at a few
-    # hundred MB regardless of width (dim, or a sparse input's nnz) and rows.
-    by_matrix = max(1, int(_MAX_COMPONENTS / (cfg.power * max(width, 1))))
-    by_points = max(1, int(4e7 / (max(n_points, 1) * cfg.power)))
-    return max(1, min(cfg.rows, by_matrix, by_points))
+def _row_block_size(cfg: LshConfig, width: int) -> int:
+    """Rows per block: as many as fit the projection cap at this width (dim,
+    or a sparse input's nnz), at least one."""
+    return max(1, min(cfg.rows, _MAX_COMPONENTS // (cfg.power * max(width, 1))))
 
 
-def _blocks(
-    cfg: LshConfig, n_points: int = 1, dims: Optional[np.ndarray] = None
-) -> Iterator[Tuple]:
+def _blocks(cfg: LshConfig, dims: Optional[np.ndarray] = None) -> Iterator[Tuple]:
     """Yield (row_start, row_stop, W, b, fold keys) blocks covering all rows,
     W on the input dimensions ``dims`` (every dimension when None)."""
-    step = _row_block_size(cfg, n_points, cfg.dim if dims is None else dims.size)
+    step = _row_block_size(cfg, cfg.dim if dims is None else dims.size)
     for r0 in range(0, cfg.rows, step):
         r1 = min(cfg.rows, r0 + step)
         yield (r0, r1) + _state(cfg, r0, r1, dims)
 
 
-def hash_blocks(
-    cfg: LshConfig, n_points: int = 1
-) -> Iterator[Tuple[int, int, np.ndarray, Optional[np.ndarray]]]:
+def hash_blocks(cfg: LshConfig) -> Iterator[Tuple[int, int, np.ndarray, Optional[np.ndarray]]]:
     """Yield (row_start, row_stop, W, b) blocks covering all rows.
 
     The arrays are read-only when they come from the config's cached
     projections.
     """
-    for r0, r1, W, b, _keys in _blocks(cfg, n_points):
+    for r0, r1, W, b, _keys in _blocks(cfg):
         yield r0, r1, W, b
 
 
@@ -482,11 +481,12 @@ def slot_blocks(
     """Yield (row_start, row_stop, point_start, slots): the uint64 slots
     on rows [row_start, row_stop) of a chunk of points of the checked
     float64 matrix X, from point_start on. X's columns are the input
-    dimensions ``dims`` (every dimension when None)."""
+    dimensions ``dims`` (every dimension when None). A chunk holds at most
+    ``_CHUNK_ITEM_ROWS`` slots and twice that many projections."""
     n = X.shape[0]
-    width = cfg.dim if dims is None else dims.size
-    chunk = max(1, _CHUNK_ITEM_ROWS // _row_block_size(cfg, 1, width))
-    for r0, r1, W, b, keys in _blocks(cfg, min(n, chunk), dims):
+    step = _row_block_size(cfg, cfg.dim if dims is None else dims.size)
+    chunk = max(1, min(_CHUNK_ITEM_ROWS // step, 2 * _CHUNK_ITEM_ROWS // (step * cfg.power)))
+    for r0, r1, W, b, keys in _blocks(cfg, dims):
         for n0 in range(0, n, chunk):
             yield r0, r1, n0, slots_for_block(cfg, X[n0 : n0 + chunk], W, b, r0, keys)
 

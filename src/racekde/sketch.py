@@ -87,7 +87,7 @@ _KIND_FROM_CODE = {v: k for k, v in _KIND_CODES.items()}
 # Rows are kept dense up to this slot range, sparse beyond it.
 DENSE_RANGE_LIMIT = 4096
 
-_STORAGE_FROM_CODE = {cls.code: name for name, cls in STORES.items()}
+_STORE_FROM_CODE = {cls.code: cls for cls in STORES.values()}
 
 
 class ConfigMismatchError(ValueError):
@@ -146,10 +146,11 @@ def relative_error_bound(
 
 
 def _width_bytes(max_counter: int) -> int:
-    for w in (1, 2, 4, 8):
+    """The narrowest of 1, 2, 4 and 8 bytes that holds a uint64 counter."""
+    for w in (1, 2, 4):
         if max_counter < 1 << (8 * w):
             return w
-    raise OverflowError("counter exceeds 64 bits")
+    return 8
 
 
 # The header's config fields (kind, width, dim, power, rows, range, sigma,
@@ -177,22 +178,26 @@ class RaceSketch:
     Storage affects layout and file size only, never the counter values.
     """
 
+    rehash_family_id = REHASH_FAMILY_ID  # the one family from_bytes accepts
+
     def __init__(self, config: LshConfig, storage: str = "auto"):
         if storage == "auto":
             storage = "dense" if config.hash_range <= DENSE_RANGE_LIMIT else "sparse"
         if storage not in STORES:
             raise ValueError(f"unknown storage mode {storage!r}")
         check_key_space(config.rows, config.hash_range)
-        store = STORES[storage](config.rows, config.hash_range)
-        self._fill(config, storage, store, 0, REHASH_FAMILY_ID)
+        self._fill(config, STORES[storage](config.rows, config.hash_range), 0)
 
-    def _fill(self, config, storage, store, items, family_id) -> "RaceSketch":
+    def _fill(self, config, store, items) -> "RaceSketch":
         self.config = config
-        self.storage = storage
         self._store = store
         self.items = items
-        self.rehash_family_id = family_id
         return self
+
+    @property
+    def storage(self) -> str:
+        """The counter store's layout, "dense" or "sparse"."""
+        return self._store.name
 
     @property
     def _counts(self) -> np.ndarray:
@@ -243,7 +248,7 @@ class RaceSketch:
     # ------------------------------------------------------------------ merge
 
     def _check_mergeable(self, other: "RaceSketch") -> None:
-        if self.config == other.config and self.rehash_family_id == other.rehash_family_id:
+        if self.config == other.config:
             return
         for field in dataclasses.fields(LshConfig):
             a = getattr(self.config, field.name)
@@ -252,11 +257,6 @@ class RaceSketch:
                 raise ConfigMismatchError(
                     f"sketches differ in {field.name}: {a!r} vs {b!r}"
                 )
-        if self.rehash_family_id != other.rehash_family_id:
-            raise ConfigMismatchError(
-                f"sketches differ in rehash_family_id: "
-                f"{self.rehash_family_id} vs {other.rehash_family_id}"
-            )
 
     def merge(self, other: "RaceSketch") -> "RaceSketch":
         """Sketch of the combined streams: elementwise counter sum.
@@ -269,9 +269,7 @@ class RaceSketch:
         if items >= 2**64:
             raise OverflowError("item count exceeds 64 bits")
         store = self._store.merged(other._store)
-        return RaceSketch.__new__(RaceSketch)._fill(
-            self.config, self.storage, store, items, self.rehash_family_id
-        )
+        return RaceSketch.__new__(RaceSketch)._fill(self.config, store, items)
 
     def _dense_counts(self) -> np.ndarray:
         return self._store.dense()
@@ -402,18 +400,20 @@ class RaceSketch:
             raise SketchFormatError(f"unknown family code {kind_code}")
         if width_log2 not in (0, 1, 2, 3):
             raise SketchFormatError(f"bad counter width class {width_log2}")
-        if storage_code not in _STORAGE_FROM_CODE:
+        store_cls = _STORE_FROM_CODE.get(storage_code)
+        if store_cls is None:
             raise SketchFormatError(f"bad storage code {storage_code}")
-        storage = _STORAGE_FROM_CODE[storage_code]
+        if family_id != REHASH_FAMILY_ID:
+            raise SketchFormatError(f"unknown rehash family {family_id}")
         w = 1 << width_log2
         try:
             cfg = _header_config(bytes(data[_CONFIG_OFFSET : _CONFIG_OFFSET + _CONFIG_FIELDS.size]))
         except ValueError as exc:
             raise SketchFormatError(f"invalid config in header: {exc}") from None
-        store = STORES[storage].load(data, HEADER_SIZE, len(data) - 4, rows, hash_range, w)
+        store = store_cls.load(data, HEADER_SIZE, len(data) - 4, rows, hash_range, w)
         if not store.rows_sum_to(items, w):
             raise SketchFormatError(f"row sums disagree with the header item count {items}")
-        return cls.__new__(cls)._fill(cfg, storage, store, items, family_id)
+        return cls.__new__(cls)._fill(cfg, store, items)
 
     @classmethod
     def deserialize(cls, source: Union[BinaryIO, bytes, str]) -> "RaceSketch":
@@ -431,11 +431,7 @@ class RaceSketch:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RaceSketch):
             return NotImplemented
-        if (
-            self.config != other.config
-            or self.rehash_family_id != other.rehash_family_id
-            or self.items != other.items
-        ):
+        if self.config != other.config or self.items != other.items:
             return False
         keys, counts = nonzero(*self._store.counters())
         their_keys, their_counts = nonzero(*other._store.counters())

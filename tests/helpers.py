@@ -71,15 +71,19 @@ def crafted_file(rows, hash_range, storage_code, payload=bytes(12), items=0, wid
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def with_field(data, fmt, offset, value):
+    """A sketch file with the header field at offset rewritten and its CRC
+    redone."""
+    body = bytearray(data[:-4])
+    struct.pack_into(fmt, body, offset, value)
+    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+
+
 def with_sigma(data, sigma):
     """A sketch file with its header sigma rewritten and its CRC redone."""
-    body = bytearray(data[:-4])
-    struct.pack_into("<d", body, 30, sigma)
-    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+    return with_field(data, "<d", 30, sigma)
 
 
 def with_items(data, items):
     """A sketch file with its header item count rewritten and its CRC redone."""
-    body = bytearray(data[:-4])
-    struct.pack_into("<Q", body, 46, items)
-    return bytes(body) + struct.pack("<I", zlib.crc32(body))
+    return with_field(data, "<Q", 46, items)

@@ -12,7 +12,7 @@ from racekde.cli import main
 from racekde.lsh import LshConfig
 from racekde.sketch import RaceSketch
 
-from helpers import crafted_file, with_items, with_sigma
+from helpers import crafted_file, with_field, with_items, with_sigma
 
 
 @pytest.fixture
@@ -419,3 +419,47 @@ def test_info_non_finite_sigma_exits_two(data_dir, capsys):
     capsys.readouterr()
     assert main(["info", str(path)]) == 2
     assert capsys.readouterr().err.startswith("racekde: error: invalid config in header")
+
+
+@pytest.mark.parametrize("kind, hash_range", [("l2", "1"), ("l2", "0"), ("srp", "3")])
+def test_eval_checks_configs_before_exact_densities(data_dir, monkeypatch, capsys, kind,
+                                                    hash_range):
+    def never(*args):
+        raise AssertionError("exact_kde ran before the configs were checked")
+
+    monkeypatch.setattr("racekde.cli.exact_kde", never)
+    args = _eval_args(data_dir, "--kind", kind, "--range", hash_range, "--sizes", "2000,8000")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("racekde: error: ") and "range must be" in err
+
+
+def test_query_reads_at_the_sketch_dimension(data_dir, tmp_path, capsys):
+    dense = tmp_path / "s.bin"
+    assert main(_sketch_args(data_dir, dense)) == 0
+    queries = tmp_path / "q.txt"
+    queries.write_text("# a comment, then a blank line\n\n1 2 3\n")
+    capsys.readouterr()
+    query = ["query", "--queries", str(queries), "--output", str(tmp_path / "q.csv")]
+    assert main(query + ["--sketch", str(dense)]) == 2
+    assert capsys.readouterr().err == "racekde: error: line 3: expected 4 entries, found 3\n"
+
+    wide = RaceSketch(LshConfig("l1", 8, 1.0, 1, 9, 8, 0))
+    wide.add(DataVector.dense(np.arange(8.0)))
+    wide.serialize(str(tmp_path / "wide.bin"))
+    queries.write_text("not:a vector\n")  # refused before it is read
+    sparse = ["--sketch", str(tmp_path / "wide.bin"), "--format", "sparse", "--dim", "5"]
+    assert main(query + sparse) == 2
+    assert capsys.readouterr().err == "racekde: error: expected dimension 8, got --dim 5\n"
+
+
+def test_foreign_rehash_family_exits_two(data_dir, tmp_path, capsys):
+    path = tmp_path / "s.bin"
+    assert main(_sketch_args(data_dir, path)) == 0
+    path.write_bytes(with_field(path.read_bytes(), "<I", 54, 2))
+    query = ["query", "--sketch", str(path), "--queries", str(data_dir / "queries.txt"),
+             "--output", str(tmp_path / "q.csv")]
+    for argv in (["info", str(path)], query):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "racekde: error: unknown rehash family 2\n"

@@ -63,3 +63,5 @@ def test_loaded_store_checks_wide_counters(store_cls, payload):
     with pytest.raises(OverflowError):
         store.add(np.array([0], dtype=np.uint64), np.array([1], dtype=np.uint64))
     assert store.gather(np.array([0], dtype=np.uint64)).tolist() == [2**64 - 1]
+    store.add(np.array([1], dtype=np.uint64), np.array([1], dtype=np.uint64))
+    assert store.gather(np.array([0, 1], dtype=np.uint64)).tolist() == [2**64 - 1, 1]

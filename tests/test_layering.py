@@ -25,7 +25,7 @@ def private_lsh_names(tree: ast.AST):
             yield node.attr
 
 
-@pytest.mark.parametrize("module", ["sketch.py", "cli.py", "composite.py"])
+@pytest.mark.parametrize("module", ["sketch.py", "cli.py", "composite.py", "kernels.py"])
 def test_no_private_lsh_names(module):
     tree = ast.parse((SRC / module).read_text(), filename=module)
     assert list(private_lsh_names(tree)) == []

@@ -188,7 +188,7 @@ def cache_mode(mode):
     cap is cut so they are over it and generate every row block afresh."""
     with pytest.MonkeyPatch.context() as mp:
         if mode == "sliced":
-            mp.setattr(lsh, "_row_block_size", lambda cfg, n_points, width: 3)
+            mp.setattr(lsh, "_row_block_size", lambda cfg, width: 3)
         elif mode == "streamed":
             mp.setattr(lsh, "_MAX_COMPONENTS", 100)
         lsh._CACHE.clear()
@@ -214,7 +214,7 @@ def fresh_slots(cfg, X, fold=True):
     """Slots (or raw codes) from freshly generated projection and offset
     blocks, in the row blocks the library uses."""
     n, p = X.shape[0], cfg.power
-    step = lsh._row_block_size(cfg, n, cfg.dim)
+    step = lsh._row_block_size(cfg, cfg.dim)
     out = []
     for r0 in range(0, cfg.rows, step):
         r1 = min(cfg.rows, r0 + step)
@@ -540,7 +540,7 @@ def test_chunked_matrix_paths_match_per_point(kind, mode, storage):
     rng = np.random.default_rng(19)
     X, Q = rng.normal(size=(11, 16)), rng.normal(size=(7, 16))
     with cache_mode(mode), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lsh, "_CHUNK_ITEM_ROWS", 3 * lsh._row_block_size(cfg, 1, cfg.dim))
+        mp.setattr(lsh, "_CHUNK_ITEM_ROWS", 3 * lsh._row_block_size(cfg, cfg.dim))
         blocks = [(r0, n0) for r0, _r1, n0, _slots in lsh.slot_blocks(cfg, X)]
         assert {n0 for _r0, n0 in blocks} == {0, 3, 6, 9}
         assert len({r0 for r0, _n0 in blocks}) == (1 if mode == "cached" else 7)
@@ -555,3 +555,17 @@ def test_chunked_matrix_paths_match_per_point(kind, mode, storage):
         assert bulk == loop and bulk.to_bytes() == loop.to_bytes()
         want_counters = [loop.raw_query(DataVector.dense(q)) for q in Q]
         assert np.array_equal(bulk.raw_query_matrix(Q), want_counters)
+
+
+def test_point_chunks_bound_slots_and_projections():
+    """A point chunk holds at most _CHUNK_ITEM_ROWS slots and twice that many
+    projections, so at power 4 it holds half the points it holds at power 2."""
+    X = np.random.default_rng(23).normal(size=(11, 16))
+    for power, starts in ((2, [0, 6]), (4, [0, 3, 6, 9])):
+        cfg = LshConfig("l2", 16, 0.8, power, 20, 32, 3)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lsh, "_CHUNK_ITEM_ROWS", 6 * cfg.rows)
+            blocks = list(lsh.slot_blocks(cfg, X))
+        assert [(r0, r1, n0) for r0, r1, n0, _slots in blocks] == [(0, 20, n0) for n0 in starts]
+        want = [hash_all(cfg, DataVector.dense(x)) for x in X]
+        assert np.array_equal(np.concatenate([slots for *_, slots in blocks]), want)

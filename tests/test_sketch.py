@@ -18,7 +18,7 @@ from racekde.sketch import (
 )
 from racekde.vectors import DataVector, NonFiniteInputError
 
-from helpers import crafted_file, with_items, with_sigma
+from helpers import crafted_file, with_field, with_items, with_sigma
 
 RNG = np.random.default_rng(42)
 
@@ -309,6 +309,29 @@ def test_huge_declared_grid_rejected_before_allocation(storage_code):
     data = crafted_file(2**20, 2**30, storage_code)
     assert len(data) == 78
     with pytest.raises(SketchFormatError):
+        RaceSketch.from_bytes(data)
+
+
+@pytest.mark.parametrize(
+    "fmt, offset, value, message",
+    [
+        ("<H", 8, 2, "unsupported version 2"),
+        ("<B", 10, 3, "unknown family code 3"),
+        ("<B", 11, 4, "bad counter width class 4"),
+        ("<B", 58, 2, "bad storage code 2"),
+        ("<I", 54, 0, "unknown rehash family 0"),
+        ("<I", 54, 2, "unknown rehash family 2"),
+        (None, None, None, "shorter than header"),
+    ],
+)
+def test_bad_header_field_rejected(fmt, offset, value, message):
+    """Each file is CRC-valid, except the one cut short of header plus CRC."""
+    data = RaceSketch(l2_cfg()).to_bytes()
+    if fmt is None:
+        data = data[: HEADER_SIZE + 3]
+    else:
+        data = with_field(data, fmt, offset, value)
+    with pytest.raises(SketchFormatError, match=message):
         RaceSketch.from_bytes(data)
 
 

@@ -114,11 +114,16 @@ def test_sparse_dense_distances_agree():
         idx = np.nonzero(dense)[0]
         sparse = DataVector.sparse(12, idx, dense[idx])
         other = DataVector.dense(rng.normal(size=12))
+        keep = np.union1d(np.flatnonzero(rng.random(12) < 0.5), [0])
+        other_sparse = DataVector.sparse(12, keep, other.values[keep])
+        other_dense = DataVector.dense(other_sparse.to_dense())
         dv = DataVector.dense(dense)
         for metric in (l1_distance, l2_distance, angle, dot):
-            a = metric(sparse, other)
-            b = metric(dv, other)
-            assert a == pytest.approx(b, abs=8 * np.spacing(max(abs(a), abs(b), 1.0)))
+            # Sparse against dense, then two sparse vectors (an index union).
+            for y_sparse, y_dense in ((other, other), (other_sparse, other_dense)):
+                a = metric(sparse, y_sparse)
+                b = metric(dv, y_dense)
+                assert a == pytest.approx(b, abs=8 * np.spacing(max(abs(a), abs(b), 1.0)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
