@@ -1,7 +1,9 @@
 """Command-line tool: build, merge, query, and inspect sketches, and run
 error-vs-memory evaluations that emit plot-ready CSVs.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error.
+Exit codes: 0 success, 1 usage error (a flag, or a combination of flags,
+that is invalid), 2 data error: anything raised by the contents of a file or
+by the file system (a ValueError, an ArithmeticError or an OSError).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .baselines import ReservoirSample, exact_kde, sample_bytes
 from .io import DatasetFormatError, EvalRecord, read_dense, read_sparse, write_eval_csv
 from .kernels import KernelEval
 from .lsh import Family, LshConfig, derive_seed
-from .sketch import HEADER_SIZE, ConfigMismatchError, RaceSketch, SketchFormatError
+from .sketch import HEADER_SIZE, RaceSketch
 from .vectors import DimensionMismatchError
 
 USAGE_ERROR = 1
@@ -50,7 +52,6 @@ def _build_parser() -> _Parser:
     add_format(p_sketch)
     add_family(p_sketch)
     p_sketch.add_argument("--rows", type=int, required=True)
-    p_sketch.add_argument("--storage", choices=["dense", "sparse", "auto"], default="auto")
     p_sketch.add_argument("--output", required=True)
 
     p_query = sub.add_parser("query", help="estimate densities from a sketch file")
@@ -144,14 +145,13 @@ def cmd_sketch(args) -> int:
     sketch = None
     for x in stream:
         if sketch is None:
-            cfg = _config(args, x.dim, args.rows, args.seed)
-            sketch = _from_flags(RaceSketch, config=cfg, storage=args.storage)
+            sketch = RaceSketch(_config(args, x.dim, args.rows, args.seed))
         sketch.add(x)
     if sketch is None:
         raise DatasetFormatError(0, "input contains no vectors")
-    sketch.serialize(args.output)
+    size = sketch.serialize(args.output)
     elapsed = time.monotonic() - start
-    print(f"items={sketch.items} bytes={sketch.memory_bytes()} seconds={elapsed:.3f}")
+    print(f"items={sketch.items} bytes={size} seconds={elapsed:.3f}")
     return 0
 
 
@@ -187,8 +187,8 @@ def cmd_merge(args) -> int:
     for path in args.inputs:
         sketch = RaceSketch.deserialize(path)
         merged = sketch if merged is None else merged.merge(sketch)
-    merged.serialize(args.output)
-    print(f"items={merged.items} bytes={merged.memory_bytes()} inputs={len(args.inputs)}")
+    size = merged.serialize(args.output)
+    print(f"items={merged.items} bytes={size} inputs={len(args.inputs)}")
     return 0
 
 
@@ -300,14 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _UsageError as exc:
         print(f"racekde: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (
-        DatasetFormatError,
-        SketchFormatError,
-        ConfigMismatchError,
-        DimensionMismatchError,
-        FileNotFoundError,
-        OverflowError,
-    ) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"racekde: error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -45,12 +45,6 @@ class SketchFormatError(ValueError):
     """Raised for corrupt or unsupported sketch files."""
 
 
-def check_key_space(rows: int, R: int) -> None:
-    """Raise ValueError unless every flat key row * R + slot fits 64 bits."""
-    if rows * R > 2**64:
-        raise ValueError("rows * hash_range exceeds the 64-bit flat-key space")
-
-
 def nonzero(keys, counts):
     """(keys, counts) as arrays of the nonzero counters only."""
     if isinstance(keys, slice):
@@ -192,9 +186,6 @@ class DenseStore:
     def rows_sum_to(self, items: int, width: int) -> bool:
         return _sums_equal(lambda v: np.einsum("ij->i", v), self._counts, items, width)
 
-    def payload_size(self, width: int) -> int:
-        return width * self._counts.size
-
     def payload(self, width: int) -> bytes:
         return self._counts.astype(f"<u{width}").tobytes()
 
@@ -279,9 +270,6 @@ class SparseStore:
             return items == 0 and not vals.size
         starts = np.cumsum(lengths) - lengths
         return _sums_equal(lambda v: np.add.reduceat(v, starts), vals, items, width)
-
-    def payload_size(self, width: int) -> int:
-        return 8 * self.rows + (8 + width) * self.counters()[0].size
 
     def payload(self, width: int) -> bytes:
         keys, vals = self.counters()

@@ -139,6 +139,12 @@ class LshConfig:
     ``hash_range`` is the slot range of each row. For SRP it must equal
     2**power (the packed sign bits); for l2/l1 it is the rehash target.
     Slots are 0-based, in [0, hash_range).
+
+    Every field fits the sketch file's header, so every sketch can be
+    written: dim and rows lie in [1, 2**32), power in [1, 2**16), hash_range
+    below 2**64 with rows * hash_range at most 2**64 (every flat counter key
+    row * hash_range + slot fits 64 bits), seed in [0, 2**64), and sigma is
+    finite. Anything else raises ValueError.
     """
 
     kind: Family
@@ -151,12 +157,13 @@ class LshConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", Family(self.kind))
-        if self.dim <= 0:
-            raise ValueError("dim must be positive")
-        if self.power < 1:
-            raise ValueError("power must be >= 1")
-        if self.rows < 1:
-            raise ValueError("rows must be >= 1")
+        for name, bits in (("dim", 32), ("rows", 32), ("power", 16)):
+            if not 1 <= getattr(self, name) < 2**bits:
+                raise ValueError(f"{name} must lie in [1, 2**{bits})")
+        if self.hash_range >= 2**64:
+            raise ValueError("hash_range must be below 2**64")
+        if self.rows * self.hash_range > 2**64:
+            raise ValueError("rows * hash_range exceeds the 64-bit flat-key space")
         if not math.isfinite(self.sigma):
             raise ValueError("sigma must be finite")
         if self.kind is Family.SRP:
@@ -279,7 +286,8 @@ def _to_slots(
     consecutive rows, with their offsets ``b`` and fold ``keys``. srp packs
     the sign bits little-endian into (n, m) slots. l2/l1 floor
     (proj + b) / sigma into (n, m, power) integer codes and fold them into
-    (n, m) slots, or return the codes unfolded when ``keys`` is None.
+    (n, m) slots, or return the codes unfolded when ``keys`` is None. A code
+    outside int64 raises OverflowError.
     """
     n = proj.shape[0]
     p = cfg.power
@@ -287,7 +295,12 @@ def _to_slots(
     if cfg.kind is Family.SRP:
         bits = (proj >= 0.0).reshape(n, m, p)
         return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(p, dtype=np.uint64))
-    codes = np.floor((proj + b) / cfg.sigma).astype(np.int64).reshape(n, m, p)
+    floors = np.floor((proj + b) / cfg.sigma)
+    try:
+        with np.errstate(invalid="raise"):
+            codes = floors.astype(np.int64).reshape(n, m, p)
+    except FloatingPointError:
+        raise OverflowError(f"hash code exceeds 64 bits at sigma {cfg.sigma!r}") from None
     if keys is None:
         return codes
     return _fold(codes, keys, cfg.hash_range)

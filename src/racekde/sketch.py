@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -44,14 +45,7 @@ from typing import BinaryIO, Optional, Union
 
 import numpy as np
 
-from .counters import (
-    STORES,
-    SketchFormatError,
-    UnmatchedDeletionError,
-    check_key_space,
-    nonzero,
-    tally,
-)
+from .counters import STORES, SketchFormatError, UnmatchedDeletionError, nonzero, tally
 from .lsh import (
     Family,
     LshConfig,
@@ -145,14 +139,6 @@ def relative_error_bound(
     return float(out) if np.isscalar(half_power_mean) else out
 
 
-def _width_bytes(max_counter: int) -> int:
-    """The narrowest of 1, 2, 4 and 8 bytes that holds a uint64 counter."""
-    for w in (1, 2, 4):
-        if max_counter < 1 << (8 * w):
-            return w
-    return 8
-
-
 # The header's config fields (kind, width, dim, power, rows, range, sigma,
 # seed) as one span of bytes, the key of the config cache: equal keys are
 # bit-identical configs, which equal floats (0.0 and -0.0) need not be.
@@ -164,7 +150,6 @@ _CONFIG_OFFSET = struct.calcsize("<8sH")
 def _header_config(fields: bytes) -> LshConfig:
     """The validated config of a file header, shared by loads of one config."""
     kind_code, dim, power, rows, hash_range, sigma, seed = _CONFIG_FIELDS.unpack(fields)
-    check_key_space(rows, hash_range)
     return LshConfig(_KIND_FROM_CODE[kind_code], dim, sigma, power, rows, hash_range, seed)
 
 
@@ -185,7 +170,6 @@ class RaceSketch:
             storage = "dense" if config.hash_range <= DENSE_RANGE_LIMIT else "sparse"
         if storage not in STORES:
             raise ValueError(f"unknown storage mode {storage!r}")
-        check_key_space(config.rows, config.hash_range)
         self._fill(config, STORES[storage](config.rows, config.hash_range), 0)
 
     def _fill(self, config, store, items) -> "RaceSketch":
@@ -211,39 +195,63 @@ class RaceSketch:
 
     # ------------------------------------------------------------------ build
 
+    def _counted(self, n: int) -> int:
+        """The item count after n more (or, n < 0, fewer) items; raises
+        OverflowError past 64 bits and UnmatchedDeletionError below 0."""
+        if self.items + n >= 2**64:
+            raise OverflowError("item count exceeds 64 bits")
+        if self.items + n < 0:
+            raise UnmatchedDeletionError("removing more items than the sketch holds")
+        return self.items + n
+
+    def _update(self, x: DataVector, n: int, update) -> None:
+        """Apply the store's add or subtract to x's slots, and n to N."""
+        items = self._counted(n)
+        keys = self._row_keys(hash_all(self.config, x))
+        update(keys, np.ones(keys.size, dtype=np.uint64))
+        self.items = items
+
     def add(self, x: DataVector) -> None:
         """Insert one vector: increments one counter per row and N."""
-        keys = self._row_keys(hash_all(self.config, x))
-        self._store.add(keys, np.ones(keys.size, dtype=np.uint64))
-        self.items += 1
+        self._update(x, 1, self._store.add)
 
     def remove(self, x: DataVector) -> None:
         """Delete one previously-added vector; errors if it was never added
         (any touched counter at zero)."""
-        if self.items < 1:
-            raise UnmatchedDeletionError("remove on an empty sketch")
-        keys = self._row_keys(hash_all(self.config, x))
-        self._store.subtract(keys, np.ones(keys.size, dtype=np.uint64))
-        self.items -= 1
+        self._update(x, -1, self._store.subtract)
 
-    def add_matrix(self, X: np.ndarray) -> None:
-        """Bulk insert of dense points, one per matrix row."""
-        X = check_points(self.config, X)
+    def _tallies(self, X: np.ndarray):
+        """(flat keys, counts) of the checked points X, one pair per block
+        of ``slot_blocks``."""
         R = self.config.hash_range
         for r0, r1, _n0, slots in slot_blocks(self.config, X):
             local = np.arange(r1 - r0, dtype=np.uint64) * np.uint64(R)
-            self._store.add(*tally(slots + local, r0 * R, (r1 - r0) * R))
-        self.items += X.shape[0]
+            yield tally(slots + local, r0 * R, (r1 - r0) * R)
+
+    def _update_matrix(self, X: np.ndarray, sign: int, apply, undo) -> None:
+        """Apply the store's add (sign 1) or subtract (sign -1) to the points
+        X block by block, all or nothing: when a block raises, those applied
+        before it are hashed again and undone; no copy of the counters is kept."""
+        X = check_points(self.config, X)
+        items = self._counted(sign * X.shape[0])
+        done = 0
+        try:
+            for block in self._tallies(X):
+                apply(*block)
+                done += 1
+        except (OverflowError, UnmatchedDeletionError):
+            for block in itertools.islice(self._tallies(X), done):
+                undo(*block)
+            raise
+        self.items = items
+
+    def add_matrix(self, X: np.ndarray) -> None:
+        """Bulk insert of dense points, one per matrix row; all or nothing."""
+        self._update_matrix(X, 1, self._store.add, self._store.subtract)
 
     def remove_matrix(self, X: np.ndarray) -> None:
-        """Bulk delete of previously-added dense points; all or nothing,
-        since the points are tallied into a throwaway sketch first."""
-        other = RaceSketch(self.config, self.storage)
-        other.add_matrix(X)
-        if other.items > self.items:
-            raise UnmatchedDeletionError("removing more items than present")
-        self._store.subtract(*other._store.counters())
-        self.items -= other.items
+        """Bulk delete of previously-added dense points; all or nothing."""
+        self._update_matrix(X, -1, self._store.subtract, self._store.add)
 
     # ------------------------------------------------------------------ merge
 
@@ -265,9 +273,7 @@ class RaceSketch:
         64 bits.
         """
         self._check_mergeable(other)
-        items = self.items + other.items
-        if items >= 2**64:
-            raise OverflowError("item count exceeds 64 bits")
+        items = self._counted(other.items)
         store = self._store.merged(other._store)
         return RaceSketch.__new__(RaceSketch)._fill(self.config, store, items)
 
@@ -278,18 +284,16 @@ class RaceSketch:
 
     def raw_query(self, q: DataVector) -> np.ndarray:
         """The L counters at the query's slots, one per row."""
-        if self.items < 1:
-            raise EmptySketchError("query on an empty sketch")
         slots = hash_all(self.config, q)
         return self._counters_at(slots[None, :])[0]
 
     def raw_query_matrix(self, Q: np.ndarray) -> np.ndarray:
         """Counters for a batch of dense queries; shape (n, rows)."""
-        if self.items < 1:
-            raise EmptySketchError("query on an empty sketch")
         return self._counters_at(hash_matrix(self.config, Q))
 
     def _counters_at(self, slots: np.ndarray) -> np.ndarray:
+        if self.items < 1:
+            raise EmptySketchError("query on an empty sketch")
         return self._store.gather(self._row_keys(slots))
 
     def estimate(self, q: DataVector, groups: int = 9) -> KdeEstimate:
@@ -342,19 +346,16 @@ class RaceSketch:
         total = self.config.rows * self.config.hash_range
         return int(np.count_nonzero(self._store.counters()[1])) / total
 
-    def _counter_width(self) -> int:
-        counts = self._store.counters()[1]
-        return _width_bytes(int(np.maximum.reduce(counts)) if counts.size else 0)
-
     def memory_bytes(self) -> int:
         """Exact size in bytes of the serialized representation."""
-        payload = self._store.payload_size(self._counter_width())
-        return HEADER_SIZE + payload + 4  # trailing crc32
+        return len(self.to_bytes())
 
     # ------------------------------------------------------------ serialization
 
     def to_bytes(self) -> bytes:
-        w = self._counter_width()
+        counts = self._store.counters()[1]
+        top = int(np.maximum.reduce(counts)) if counts.size else 0
+        w = next(w for w in (1, 2, 4, 8) if top < 1 << (8 * w))  # narrowest that fits
         header = _HEADER.pack(
             _MAGIC,
             _VERSION,
@@ -375,13 +376,15 @@ class RaceSketch:
         crc = zlib.crc32(payload, zlib.crc32(header))
         return b"".join((header, payload, _CRC.pack(crc)))
 
-    def serialize(self, sink: Union[BinaryIO, str]) -> None:
+    def serialize(self, sink: Union[BinaryIO, str]) -> int:
+        """Write to_bytes() to a file object or a path; returns its length."""
         data = self.to_bytes()
         if hasattr(sink, "write"):
             sink.write(data)
         else:
             with open(sink, "wb") as f:
                 f.write(data)
+        return len(data)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RaceSketch":

@@ -463,3 +463,104 @@ def test_foreign_rehash_family_exits_two(data_dir, tmp_path, capsys):
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == "racekde: error: unknown rehash family 2\n"
+
+
+def _error_line(capsys):
+    """The one stderr line of a failed command, with no traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith("racekde: error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_data_errors_by_kind_exit_two(data_dir, tmp_path, capsys):
+    RaceSketch(LshConfig("l2", 4, 1.5, 1, 9, 16, 0)).serialize(str(tmp_path / "empty.bin"))
+    query = ["query", "--sketch", str(tmp_path / "empty.bin"),
+             "--queries", str(data_dir / "queries.txt"), "--output", str(tmp_path / "q.csv")]
+    assert main(query) == 2
+    assert "empty sketch" in _error_line(capsys)
+
+    (tmp_path / "latin1.txt").write_bytes(b"1 2 3 4\n\xe9 2 3 4\n")
+    for path in (tmp_path, tmp_path / "latin1.txt"):  # a directory, then non-UTF-8 bytes
+        args = _sketch_args(data_dir, tmp_path / "s.bin")
+        args[args.index("--input") + 1] = str(path)
+        assert main(args) == 2
+        _error_line(capsys)
+    assert main(["info", str(tmp_path)]) == 2
+    _error_line(capsys)
+
+    args = _sketch_args(data_dir, tmp_path / "s.bin") + ["--sigma", "1e-300"]
+    assert main(args) == 2
+    assert "hash code exceeds 64 bits" in _error_line(capsys)
+    assert not (tmp_path / "s.bin").exists()
+
+
+def test_config_fields_beyond_the_file_exit_one_before_hashing(data_dir, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("hashed before the config was checked")
+
+    monkeypatch.setattr("racekde.sketch.hash_all", never)
+    for flag, value, message in (
+        ("--power", "70000", "power must lie in [1, 2**16)"),
+        ("--rows", str(2**32), "rows must lie in [1, 2**32)"),
+        ("--range", str(2**64), "hash_range must be below 2**64"),
+    ):
+        assert main(_sketch_args(data_dir, data_dir / "s.bin") + [flag, value]) == 1
+        assert _error_line(capsys) == f"racekde: error: {message}\n"
+
+
+def test_storage_is_not_a_flag(data_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_sketch_args(data_dir, data_dir / "s.bin") + ["--storage", "dense"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["sketch", "--help"])
+    assert "--storage" not in capsys.readouterr().out
+
+
+def test_sketch_prints_the_size_written(data_dir, tmp_path, capsys):
+    out = tmp_path / "s.bin"
+    assert main(_sketch_args(data_dir, out)) == 0
+    assert f"bytes={out.stat().st_size} " in capsys.readouterr().out
+    assert main(["merge", str(out), str(out), "--output", str(tmp_path / "m.bin")]) == 0
+    assert f"bytes={(tmp_path / 'm.bin').stat().st_size} " in capsys.readouterr().out
+
+
+def test_default_range(data_dir, tmp_path, capsys):
+    args = _sketch_args(data_dir, tmp_path / "s.bin")
+    del args[args.index("--range") : args.index("--range") + 2]
+    srp = list(args)
+    srp[srp.index("--kind") + 1] = "srp"
+    assert main(srp + ["--power", "3"]) == 0
+    assert RaceSketch.deserialize(str(tmp_path / "s.bin")).config.hash_range == 8
+    capsys.readouterr()
+    assert main(args) == 1
+    assert _error_line(capsys) == "racekde: error: --range is required for l2/l1\n"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--methods", "race,knn"], "unknown method 'knn'"),
+        (["--sizes", "100,x"], "--sizes must be"),
+        (["--repeats", "0"], "--repeats must be"),
+        (["--sizes", "70"], "budget 70 too small"),
+    ],
+)
+def test_eval_flag_errors_exit_one(data_dir, capsys, flags, message):
+    args = _eval_args(data_dir, "--kind", "l2", "--range", "16", "--sizes", "2000")
+    assert main(args + flags) == 1
+    assert message in _error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["sketch", "eval"])
+def test_empty_input_exits_two(data_dir, tmp_path, capsys, command):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no vectors\n")
+    if command == "sketch":
+        args = _sketch_args(data_dir, tmp_path / "s.bin")
+    else:
+        args = _eval_args(data_dir, "--kind", "l2", "--range", "16", "--sizes", "2000")
+    args[args.index("--input") + 1] = str(empty)
+    assert main(args) == 2
+    assert "no vectors" in _error_line(capsys)

@@ -1,4 +1,5 @@
-"""The modules built on the hash layer use only its public names."""
+"""No racekde module imports or reads an underscore name of a sibling
+module, so every rule stays behind the module that owns it."""
 
 import ast
 from pathlib import Path
@@ -8,29 +9,38 @@ import pytest
 import racekde
 
 SRC = Path(racekde.__file__).parent
+MODULES = sorted(p.name for p in SRC.glob("*.py"))
+SIBLINGS = {name[: -len(".py")] for name in MODULES}
 
 
-def private_lsh_names(tree: ast.AST):
-    """Underscore names a module imports from racekde.lsh, or reads off a
-    module bound to the name ``lsh``."""
+def private_sibling_names(tree: ast.AST):
+    """Underscore names a module imports from a sibling racekde module, or
+    reads off a name bound to a sibling module (``lsh._CACHE``)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in ("lsh", "racekde.lsh"):
-            yield from (a.name for a in node.names if a.name.startswith("_"))
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.removeprefix("racekde.")
+            if module in SIBLINGS and (node.level or node.module.startswith("racekde.")):
+                yield from (a.name for a in node.names if a.name.startswith("_"))
         elif (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
-            and node.value.id == "lsh"
+            and node.value.id in SIBLINGS
             and node.attr.startswith("_")
         ):
             yield node.attr
 
 
-@pytest.mark.parametrize("module", ["sketch.py", "cli.py", "composite.py", "kernels.py"])
+# The test keeps the name it had when it guarded the lsh module alone.
+@pytest.mark.parametrize("module", MODULES)
 def test_no_private_lsh_names(module):
     tree = ast.parse((SRC / module).read_text(), filename=module)
-    assert list(private_lsh_names(tree)) == []
+    assert list(private_sibling_names(tree)) == []
 
 
 def test_guard_sees_private_imports():
-    tree = ast.parse("from .lsh import _blocks, hash_all\nfrom . import lsh\nlsh._CACHE\n")
-    assert list(private_lsh_names(tree)) == ["_blocks", "_CACHE"]
+    tree = ast.parse(
+        "from .lsh import _blocks, hash_all\nfrom . import lsh\nlsh._CACHE\n"
+        "from racekde.counters import _top, tally\nfrom .sketch import RaceSketch\n"
+        "vectors._helper\nfrom numpy import _private\n"
+    )
+    assert sorted(private_sibling_names(tree)) == ["_CACHE", "_blocks", "_helper", "_top"]

@@ -26,7 +26,7 @@ from racekde.lsh import (
     srp_hash,
 )
 from racekde.sketch import RaceSketch
-from racekde.vectors import DataVector
+from racekde.vectors import DataVector, DimensionMismatchError
 
 
 def srp_cfg(dim=8, power=2, rows=10, seed=1):
@@ -569,3 +569,53 @@ def test_point_chunks_bound_slots_and_projections():
         assert [(r0, r1, n0) for r0, r1, n0, _slots in blocks] == [(0, 20, n0) for n0 in starts]
         want = [hash_all(cfg, DataVector.dense(x)) for x in X]
         assert np.array_equal(np.concatenate([slots for *_, slots in blocks]), want)
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        ("l2", dict(dim=2**32)),
+        ("l2", dict(rows=2**32)),
+        ("l2", dict(power=2**16)),
+        ("l2", dict(hash_range=2**64)),
+        ("l2", dict(rows=17, hash_range=2**60)),  # rows * range > 2**64
+        ("srp", dict(power=64, hash_range=2**64)),
+    ],
+)
+def test_fields_beyond_the_file_header_rejected(kind, fields):
+    base = srp_cfg() if kind == "srp" else l2_cfg()
+    with pytest.raises(ValueError, match="2\\*\\*|64-bit"):
+        replace(base, **fields)
+
+
+def test_configs_at_the_field_limits_are_written():
+    cfg = LshConfig("l2", 2**32 - 1, 1.0, 2**16 - 1, 16, 2**60, 2**64 - 1)  # rows * range = 2**64
+    sketch = RaceSketch(cfg)
+    assert RaceSketch.from_bytes(sketch.to_bytes()) == sketch
+    wide_srp = LshConfig("srp", 4, 0.0, 63, 2, 2**63, 1)
+    assert RaceSketch.from_bytes(RaceSketch(wide_srp).to_bytes()).config == wide_srp
+
+
+def test_points_of_the_wrong_shape_rejected():
+    cfg = l2_cfg()
+    for X in (np.zeros((3, 7)), np.zeros(8), np.zeros((2, 4, 8))):
+        with pytest.raises(DimensionMismatchError, match="dimension 8"):
+            hash_matrix(cfg, X)
+    with pytest.raises(DimensionMismatchError, match="expected dim 8, got 7"):
+        hash_all(cfg, DataVector.dense(np.zeros(7)))
+    with pytest.raises(DimensionMismatchError):
+        hash_all(cfg, DataVector.sparse(9, [0, 8], [1.0, 2.0]))
+
+
+@pytest.mark.parametrize("kind", ["l2", "l1"])
+def test_hash_codes_beyond_int64_raise(kind):
+    cfg = replace(kind_cfg(kind), sigma=1e-300)
+    x = DataVector.dense(np.full(16, 1e-7))
+    calls = (
+        lambda: hash_all(cfg, x),
+        lambda: hash_matrix(cfg, x.values[None, :]),
+        lambda: pstable_hash(cfg, x, 3),
+    )
+    for call in calls:
+        with pytest.raises(OverflowError, match="hash code exceeds 64 bits"):
+            call()

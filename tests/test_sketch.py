@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from racekde import lsh
 from racekde.lsh import LshConfig, hash_matrix
 from racekde.sketch import (
     ConfigMismatchError,
@@ -16,7 +17,7 @@ from racekde.sketch import (
     ace_variance_bound,
     rehashed_variance_bound,
 )
-from racekde.vectors import DataVector, NonFiniteInputError
+from racekde.vectors import DataVector, DimensionMismatchError, NonFiniteInputError
 
 from helpers import crafted_file, with_field, with_items, with_sigma
 
@@ -460,3 +461,73 @@ def test_non_finite_header_sigma_is_format_error(kind, sigma):
     s.add(rand_vec())
     with pytest.raises(SketchFormatError, match="sigma must be finite"):
         RaceSketch.from_bytes(with_sigma(s.to_bytes(), sigma))
+
+
+@pytest.mark.parametrize("storage_code", [0, 1])
+def test_add_past_the_item_limit_raises_unchanged(storage_code):
+    if storage_code == 0:
+        payload = struct.pack("<4Q", 2**63, 2**63 - 1, 0, 0)
+    else:
+        payload = struct.pack("<5Q", 2, 0, 2**63, 1, 2**63 - 1)
+    s = RaceSketch.from_bytes(crafted_file(1, 4, storage_code, payload, 2**64 - 1, 3))
+    before = s.to_bytes()
+    X = RNG.normal(size=(2, 4))
+    for call in (lambda: s.add(DataVector.dense(X[0])), lambda: s.add_matrix(X)):
+        with pytest.raises(OverflowError, match="item count exceeds 64 bits"):
+            call()
+        assert s.items == 2**64 - 1 and s.to_bytes() == before
+
+
+def test_serialize_returns_the_size_written(tmp_path):
+    for storage in ("dense", "sparse"):
+        s = RaceSketch(l2_cfg(), storage)
+        s.add_matrix(RNG.normal(size=(7, 6)))
+        buf = io.BytesIO()
+        assert s.serialize(buf) == len(buf.getvalue()) == len(s.to_bytes()) == s.memory_bytes()
+        path = tmp_path / f"{storage}.bin"
+        assert s.serialize(str(path)) == path.stat().st_size
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_failed_bulk_updates_leave_the_sketch_unchanged(storage, monkeypatch):
+    """add_matrix and remove_matrix that fail in a later point chunk undo
+    the chunks applied before it."""
+    cfg = l2_cfg(rows=20, hash_range=64)
+    s = RaceSketch(cfg, storage)
+    X = np.random.default_rng(29).normal(size=(9, 6))
+    s.add_matrix(X[:8])
+    before = s.to_bytes()
+    monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 7 * cfg.dim)  # 7-row blocks
+    monkeypatch.setattr(lsh, "_CHUNK_ITEM_ROWS", 2 * 7)  # 2-point chunks
+    assert [n0 for r0, _r1, n0, _ in lsh.slot_blocks(cfg, X) if r0 == 0] == [0, 2, 4, 6, 8]
+    huge = X.copy()
+    huge[7] = 1e30  # its codes pass 2**63
+    with pytest.raises(OverflowError, match="hash code exceeds 64 bits"):
+        s.add_matrix(huge)
+    assert s.to_bytes() == before
+    with pytest.raises(UnmatchedDeletionError):
+        s.remove_matrix(X[[0, 1, 2, 3, 4, 5, 6, 8]])  # the last point was never added
+    assert s.to_bytes() == before
+    with pytest.raises(UnmatchedDeletionError, match="more items"):
+        s.remove_matrix(np.vstack([X, X]))
+    assert s.to_bytes() == before
+    s.remove_matrix(X[:8])
+    assert s.items == 0 and s == RaceSketch(cfg, storage)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (6,), (2, 3, 6)])
+def test_points_of_the_wrong_shape_rejected_unchanged(shape):
+    cfg = l2_cfg(rows=10)
+    s = RaceSketch(cfg)
+    s.add_matrix(RNG.normal(size=(4, 6)))
+    before = s.to_bytes()
+    for call in (s.add_matrix, s.remove_matrix, s.raw_query_matrix,
+                 lambda M: hash_matrix(cfg, M)):
+        with pytest.raises(DimensionMismatchError):
+            call(np.zeros(shape))
+    assert s.items == 4 and s.to_bytes() == before
+
+
+def test_empty_sketch_refuses_batch_queries():
+    with pytest.raises(EmptySketchError):
+        RaceSketch(l2_cfg()).raw_query_matrix(RNG.normal(size=(3, 6)))
