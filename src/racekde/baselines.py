@@ -11,7 +11,7 @@ import numpy as np
 
 from .kernels import KernelEval
 from .lsh import Family
-from .vectors import DataVector
+from .vectors import DataVector, DimensionMismatchError
 
 __all__ = ["exact_kde", "exact_half_power", "ReservoirSample", "sample_bytes"]
 
@@ -22,7 +22,7 @@ def _distances(dataset: Dataset, q: DataVector, kernel: KernelEval) -> np.ndarra
     if isinstance(dataset, np.ndarray):
         qd = q.to_dense()
         if dataset.ndim != 2 or dataset.shape[1] != q.dim:
-            raise ValueError("dataset matrix does not match query dimension")
+            raise DimensionMismatchError("dataset matrix does not match query dimension")
         if kernel.kind is Family.L2:
             return np.linalg.norm(dataset - qd, axis=1)
         if kernel.kind is Family.L1:

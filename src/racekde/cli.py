@@ -38,7 +38,7 @@ def _build_parser() -> _Parser:
 
     def add_format(p):
         p.add_argument("--format", choices=["dense", "sparse"], default="dense")
-        p.add_argument("--dim", type=int, help="dimension (required for sparse input)")
+        p.add_argument("--dim", type=int, help="dimension (sparse sketch/eval input needs it)")
 
     def add_family(p):
         p.add_argument("--kind", choices=["srp", "l2", "l1"], required=True)
@@ -130,12 +130,12 @@ def _reader(path: str, fmt: str, dim: Optional[int], want: Optional[int] = None)
     --dim that differs from ``want`` is a data error."""
     if dim is not None and dim < 1:
         raise _UsageError("--dim must be positive")
-    if fmt == "sparse" and dim is None:
-        raise _UsageError("--dim is required for sparse input")
     if want is not None:
         if dim not in (None, want):
             raise DimensionMismatchError(f"expected dimension {want}, got --dim {dim}")
         dim = want
+    if fmt == "sparse" and dim is None:
+        raise _UsageError("--dim is required for sparse input")
     return read_sparse(path, dim) if fmt == "sparse" else read_dense(path, dim)
 
 

@@ -9,17 +9,19 @@ Three families are supported:
 
 Every projection and offset component is a pure function of
 (seed, row, concat, dim_index) computed through a counter-based 64-bit
-mixer, so a sketch is reproducible from its config alone. Each config has
-one read-only projection cache, next to its offsets and fold keys: the
-projection column of an input dimension is generated the first time a hash
-uses it and kept. A sparse hash gathers its nnz columns and costs
-O(nnz * rows * power), so a config hashed only sparse holds the dimensions
-seen rather than dim. A dense hash asks for every column, which puts them
-in dimension order once; the cached columns are then the whole projection
-matrix W. Only configs whose rows * power * dim fits a 4e6-component cap
-are cached, and the same cap bounds the cache's total, evicting the least
-recently used config; larger configs generate row blocks on every call.
-scipy, slow to import, is loaded only to draw srp/l2 projections.
+mixer, so a sketch is reproducible from its config alone. The primitives
+mix the fresh buffer their caller made, in place, so generating a block
+peaks at twice its size. Each config has one read-only projection cache,
+next to its offsets and fold keys: the projection column of an input
+dimension is generated the first time a hash uses it and kept. A sparse
+hash gathers its nnz columns and costs O(nnz * rows * power), so a config
+hashed only sparse holds the dimensions seen rather than dim. A dense hash
+asks for every column, which puts them in dimension order once; the cached
+columns are then the whole projection matrix W. Only configs whose
+rows * power * dim fits a 4e6-component cap are cached, and the same cap
+bounds the cache's total, evicting the least recently used config; larger
+configs generate row blocks on every call. scipy, slow to import, is loaded
+only to draw srp/l2 projections.
 
 Every hash runs one block loop, :func:`slot_blocks`: row blocks outside,
 so an uncached config generates each block once, and point chunks inside.
@@ -39,9 +41,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -91,8 +94,7 @@ _U64_MASK = (1 << 64) - 1
 
 
 def _fmix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays (wrapping)."""
-    z = np.array(z, dtype=np.uint64, copy=True)
+    """splitmix64 finalizer, in place on a uint64 array (wrapping); returns z."""
     z ^= z >> np.uint64(30)
     z *= _M1
     z ^= z >> np.uint64(27)
@@ -102,22 +104,26 @@ def _fmix64(z: np.ndarray) -> np.ndarray:
 
 
 def _hash_counter(base: np.uint64, counter: np.ndarray) -> np.ndarray:
-    """Two-round mix of a counter stream against a seed-derived base."""
-    z = np.array(counter, dtype=np.uint64, copy=True)
-    z += _GOLDEN
-    z = _fmix64(z)
-    z ^= base
-    return _fmix64(z)
+    """Two-round mix of a fresh uint64 counter array against a seed-derived
+    base, in place; returns counter."""
+    counter += _GOLDEN
+    _fmix64(counter)
+    counter ^= base
+    return _fmix64(counter)
 
 
 def _base(seed: int, tag: np.uint64) -> np.uint64:
-    s = np.uint64(int(seed) & _U64_MASK)
-    return np.uint64(_fmix64(s ^ tag))
+    return _fmix64(np.array([int(seed) & _U64_MASK], dtype=np.uint64) ^ tag)[0]
 
 
 def _to_unit(bits: np.ndarray) -> np.ndarray:
-    """Map 64-bit words to uniform doubles in the open interval (0, 1)."""
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    """Uniform doubles in the open interval (0, 1) from 64-bit words; shifts
+    bits in place."""
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def derive_seed(master: int, label: str, index: int = 0) -> int:
@@ -144,7 +150,8 @@ class LshConfig:
     written: dim and rows lie in [1, 2**32), power in [1, 2**16), hash_range
     below 2**64 with rows * hash_range at most 2**64 (every flat counter key
     row * hash_range + slot fits 64 bits), seed in [0, 2**64), and sigma is
-    finite. Anything else raises ValueError.
+    finite. Anything else raises ValueError. Integer fields go through
+    ``operator.index``: a numpy integer becomes an int, a float raises TypeError.
     """
 
     kind: Family
@@ -157,6 +164,8 @@ class LshConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", Family(self.kind))
+        for name in ("dim", "power", "rows", "hash_range", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         for name, bits in (("dim", 32), ("rows", 32), ("power", 16)):
             if not 1 <= getattr(self, name) < 2**bits:
                 raise ValueError(f"{name} must lie in [1, 2**{bits})")
@@ -177,8 +186,8 @@ class LshConfig:
                 raise ValueError("rehash range must be >= 2")
             if not self.sigma > 0:
                 raise ValueError("sigma must be positive for l2/l1")
-        if not 0 <= int(self.seed) <= _U64_MASK:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        if not 0 <= self.seed <= _U64_MASK:
+            raise ValueError("seed must lie in [0, 2**64)")
 
 
 def projection_block(
@@ -192,39 +201,32 @@ def projection_block(
     Returns an array of shape ((row_stop - row_start) * power, k) where k
     is dim (or len(dim_indices) when given, for sparse inputs). Entries are
     standard Gaussian for srp/l2 and standard Cauchy for l1, and depend
-    only on (seed, row, concat, dim_index).
+    only on (seed, row, concat, dim_index). The counters are hashed, and
+    the uniforms mapped, in place: a block peaks at twice its size.
     """
     p = cfg.power
     d = cfg.dim
     rows = np.arange(row_start, row_stop, dtype=np.uint64)
     concats = np.arange(p, dtype=np.uint64)
-    if dim_indices is None:
-        dims = np.arange(d, dtype=np.uint64)
-    else:
-        dims = np.asarray(dim_indices, dtype=np.uint64)
-    counter = (
-        (rows[:, None, None] * np.uint64(p) + concats[None, :, None])
-        * np.uint64(d)
-        + dims[None, None, :]
-    )
-    u = _to_unit(_hash_counter(_base(cfg.seed, _TAG_PROJ), counter.ravel()))
+    dims = np.asarray(np.arange(d) if dim_indices is None else dim_indices, dtype=np.uint64)
+    starts = (rows[:, None, None] * np.uint64(p) + concats[None, :, None]) * np.uint64(d)
+    u = _to_unit(_hash_counter(_base(cfg.seed, _TAG_PROJ), (starts + dims).ravel()))
     if cfg.kind is Family.L1:
-        vals = np.tan(np.pi * (u - 0.5))
+        u -= 0.5
+        u *= np.pi
+        np.tan(u, out=u)
     else:
         from scipy.special import ndtri  # slow to import; l1 never needs it
 
-        vals = ndtri(u)
-    return vals.reshape((row_stop - row_start) * p, dims.size)
+        ndtri(u, out=u)
+    return u.reshape((row_stop - row_start) * p, dims.size)
 
 
 def projection_component(cfg: LshConfig, row: int, concat: int, dim_index: int) -> float:
     """Single projection-matrix entry w[row, concat, dim_index]."""
     if not (0 <= row < cfg.rows and 0 <= concat < cfg.power and 0 <= dim_index < cfg.dim):
         raise IndexError("projection component index out of range")
-    block = projection_block(
-        replace(cfg, rows=row + 1), row, row + 1, np.array([dim_index])
-    )
-    return float(block[concat, 0])
+    return float(projection_block(cfg, row, row + 1, np.array([dim_index]))[concat, 0])
 
 
 def offset_block(cfg: LshConfig, row_start: int, row_stop: int) -> np.ndarray:
@@ -238,7 +240,8 @@ def offset_block(cfg: LshConfig, row_start: int, row_stop: int) -> np.ndarray:
     concats = np.arange(p, dtype=np.uint64)
     counter = (rows[:, None] * np.uint64(p) + concats[None, :]).ravel()
     u = _to_unit(_hash_counter(_base(cfg.seed, _TAG_OFFSET), counter))
-    return u * cfg.sigma
+    u *= cfg.sigma
+    return u
 
 
 def offset_component(cfg: LshConfig, row: int, concat: int) -> float:
@@ -254,12 +257,15 @@ def _fold_keys(seed: int, row_start: int, row_stop: int) -> np.ndarray:
 
 
 def _fold(codes: np.ndarray, keys: np.ndarray, hash_range: int) -> np.ndarray:
-    """Fold (n, rows, p) code tuples into (n, rows) slots, starting each
-    row from its key."""
-    state = np.broadcast_to(keys[None, :], codes.shape[:2]).copy()
+    """Fold (n, rows, p) int64 code tuples into (n, rows) slots, starting
+    each row from its key, in one state buffer."""
+    state = np.broadcast_to(keys, codes.shape[:2]).copy()
+    words = codes.view(np.uint64)
     for j in range(codes.shape[2]):
-        state = _fmix64(state ^ codes[:, :, j].astype(np.uint64))
-    return state % np.uint64(hash_range)
+        state ^= words[:, :, j]
+        _fmix64(state)
+    state %= np.uint64(hash_range)
+    return state
 
 
 def rehash(code: Sequence[int], row: int, hash_range: int, seed: int) -> int:
@@ -282,12 +288,12 @@ def _to_slots(
 ) -> np.ndarray:
     """The one projection -> slot step of every hash.
 
-    ``proj`` holds the projections (n, m * power) of n points on m
+    ``proj`` holds the fresh projections (n, m * power) of n points on m
     consecutive rows, with their offsets ``b`` and fold ``keys``. srp packs
     the sign bits little-endian into (n, m) slots. l2/l1 floor
-    (proj + b) / sigma into (n, m, power) integer codes and fold them into
-    (n, m) slots, or return the codes unfolded when ``keys`` is None. A code
-    outside int64 raises OverflowError.
+    (proj + b) / sigma, in place, into (n, m, power) integer codes and fold
+    them into (n, m) slots, or return the codes unfolded when ``keys`` is
+    None. A code outside int64 raises OverflowError.
     """
     n = proj.shape[0]
     p = cfg.power
@@ -295,10 +301,11 @@ def _to_slots(
     if cfg.kind is Family.SRP:
         bits = (proj >= 0.0).reshape(n, m, p)
         return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(p, dtype=np.uint64))
-    floors = np.floor((proj + b) / cfg.sigma)
+    proj += b
+    proj /= cfg.sigma
     try:
         with np.errstate(invalid="raise"):
-            codes = floors.astype(np.int64).reshape(n, m, p)
+            codes = np.floor(proj, out=proj).astype(np.int64).reshape(n, m, p)
     except FloatingPointError:
         raise OverflowError(f"hash code exceeds 64 bits at sigma {cfg.sigma!r}") from None
     if keys is None:
@@ -321,6 +328,14 @@ def _frozen(a: Optional[np.ndarray]) -> Optional[np.ndarray]:
     return a
 
 
+def _offsets_and_keys(cfg: LshConfig, row_start: int, row_stop: int) -> Tuple:
+    """Fresh offsets and fold keys of rows [row_start, row_stop); None, None
+    for srp."""
+    if cfg.kind is Family.SRP:
+        return None, None
+    return offset_block(cfg, row_start, row_stop), _fold_keys(cfg.seed, row_start, row_stop)
+
+
 class _Columns:
     """The cached projections of one config: the projection column (the
     rows * power components of one input dimension) of every dimension seen
@@ -341,10 +356,7 @@ class _Columns:
         self.ordered = False
         self.where = np.full(cfg.dim, -1, dtype=np.int32)
         self.cols = _frozen(np.empty((0, cfg.rows * cfg.power)))
-        self.b = self.keys = None
-        if cfg.kind is not Family.SRP:
-            self.b = _frozen(offset_block(cfg, 0, cfg.rows))
-            self.keys = _frozen(_fold_keys(cfg.seed, 0, cfg.rows))
+        self.b, self.keys = map(_frozen, _offsets_and_keys(cfg, 0, cfg.rows))
 
     @property
     def components(self) -> int:
@@ -389,24 +401,6 @@ _CACHE: "OrderedDict[LshConfig, _Columns]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 
 
-def _generate(
-    cfg: LshConfig,
-    row_start: int,
-    row_stop: int,
-    dim_indices: Optional[np.ndarray] = None,
-) -> _HashState:
-    """Fresh (W, b, fold keys) for rows [row_start, row_stop); b and the
-    keys are None for srp."""
-    W = projection_block(cfg, row_start, row_stop, dim_indices)
-    if cfg.kind is Family.SRP:
-        return W, None, None
-    return W, offset_block(cfg, row_start, row_stop), _fold_keys(cfg.seed, row_start, row_stop)
-
-
-def _fits(cfg: LshConfig) -> bool:
-    return cfg.rows * cfg.power * cfg.dim <= _MAX_COMPONENTS
-
-
 def _evict() -> None:
     """Drop least recently used configs until the cached components fit the
     cap."""
@@ -423,8 +417,9 @@ def _state(
     views of the config's cached columns (a C-contiguous gathered copy for
     ``dims``), generating those not seen yet, or freshly generated when cfg
     is over the cap."""
-    if not _fits(cfg):
-        return _generate(cfg, row_start, row_stop, dims)
+    if cfg.rows * cfg.power * cfg.dim > _MAX_COMPONENTS:
+        W = projection_block(cfg, row_start, row_stop, dims)
+        return (W,) + _offsets_and_keys(cfg, row_start, row_stop)
     p0, p1 = row_start * cfg.power, row_stop * cfg.power
     with _CACHE_LOCK:
         cache = _CACHE.get(cfg)

@@ -23,7 +23,7 @@ File format (little-endian), see ``serialize``:
 
     magic "RACESKCH" | version u16 | kind u8 | counter-width u8 (log2 bytes)
     | dim u32 | power u16 | rows u32 | range u64 | sigma f64 | seed u64
-    | items u64 | rehash_family_id u32 | storage u8 | reserved 3 bytes
+    | items u64 | rehash_family_id u32 | storage u8 | reserved 3 zero bytes
     | row payloads | crc32 u32
 
 Dense row payload: ``range`` counters of the declared width. Sparse row
@@ -391,7 +391,7 @@ class RaceSketch:
         if len(data) < HEADER_SIZE + 4:
             raise SketchFormatError("truncated sketch: shorter than header")
         (magic, version, kind_code, width_log2, _, _, rows, hash_range, _, _, items,
-         family_id, storage_code, _) = _HEADER.unpack_from(data, 0)
+         family_id, storage_code, reserved) = _HEADER.unpack_from(data, 0)
         if magic != _MAGIC:
             raise SketchFormatError(f"bad magic {magic!r}")
         if version != _VERSION:
@@ -408,6 +408,8 @@ class RaceSketch:
             raise SketchFormatError(f"bad storage code {storage_code}")
         if family_id != REHASH_FAMILY_ID:
             raise SketchFormatError(f"unknown rehash family {family_id}")
+        if reserved != bytes(3):
+            raise SketchFormatError("reserved header bytes are not zero")
         w = 1 << width_log2
         try:
             cfg = _header_config(bytes(data[_CONFIG_OFFSET : _CONFIG_OFFSET + _CONFIG_FIELDS.size]))

@@ -5,7 +5,7 @@ import pytest
 
 from racekde.baselines import ReservoirSample, exact_half_power, exact_kde, sample_bytes
 from racekde.kernels import KernelEval
-from racekde.vectors import DataVector
+from racekde.vectors import DataVector, DimensionMismatchError
 
 
 def test_exact_kde_self():
@@ -119,3 +119,17 @@ def test_sample_bytes_accounting():
     assert sample_bytes([dense]) == 12
     assert sample_bytes([sparse]) == 16
     assert sample_bytes([dense, sparse]) == 28
+
+
+def test_reservoir_capacity_must_be_positive():
+    with pytest.raises(ValueError, match="capacity must be >= 1"):
+        ReservoirSample(0)
+
+
+@pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
+def test_exact_kde_matrix_of_the_wrong_width(kind):
+    kernel = KernelEval(kind=kind, sigma=None if kind == "srp" else 1.0)
+    q = DataVector.dense([1.0, 2.0, 3.0])
+    for dataset in (np.ones((4, 2)), np.ones(3), [DataVector.dense([1.0, 2.0])]):
+        with pytest.raises(DimensionMismatchError):
+            exact_kde(dataset, q, kernel)

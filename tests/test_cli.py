@@ -564,3 +564,32 @@ def test_empty_input_exits_two(data_dir, tmp_path, capsys, command):
     args[args.index("--input") + 1] = str(empty)
     assert main(args) == 2
     assert "no vectors" in _error_line(capsys)
+
+
+def test_nonzero_reserved_header_bytes_exit_two(data_dir, tmp_path, capsys):
+    path = tmp_path / "s.bin"
+    assert main(_sketch_args(data_dir, path)) == 0
+    path.write_bytes(with_field(path.read_bytes(), "<3s", 59, b"\x00\x00\x01"))
+    capsys.readouterr()
+    assert main(["info", str(path)]) == 2
+    assert _error_line(capsys) == "racekde: error: reserved header bytes are not zero\n"
+
+
+def test_sparse_query_reads_at_the_sketch_dimension(tmp_path, capsys):
+    data = tmp_path / "sparse.txt"
+    data.write_text("a 1:1.0 3:2.0\nb 2:1.5\nc 1:-1.0 4:0.5\n")
+    sketch = tmp_path / "s.bin"
+    l2 = ["--kind", "l2", "--sigma", "1.0", "--range", "8"]
+    assert main(["sketch", "--input", str(data), "--format", "sparse", "--dim", "4", *l2,
+                 "--rows", "20", "--output", str(sketch)]) == 0
+    query = ["query", "--sketch", str(sketch), "--queries", str(data), "--format", "sparse",
+             "--groups", "5"]
+    assert main(query + ["--dim", "4", "--output", str(tmp_path / "with.csv")]) == 0
+    assert main(query + ["--output", str(tmp_path / "without.csv")]) == 0
+    assert (tmp_path / "without.csv").read_text() == (tmp_path / "with.csv").read_text()
+    capsys.readouterr()
+    # sketch and eval have no sketch to read the dimension from
+    evaluate = ["eval", "--input", str(data), "--queries", str(data), "--format", "sparse", *l2,
+                "--sizes", "2000", "--output", str(tmp_path / "e.csv")]
+    assert main(evaluate) == 1
+    assert _error_line(capsys) == "racekde: error: --dim is required for sparse input\n"

@@ -167,3 +167,43 @@ def test_config_drift_rejected():
     )
     with pytest.raises(ValueError, match="differ"):
         composite_estimate(sketches, model, DataVector.dense(X[0]), 5)
+
+
+def _model(**fields):
+    base = dict(base=BASE, powers=(1, 2), coefficients=(1.0, 0.5), fit_grid=(0.0,),
+                fit_residual=0.0, ridge=0.0)
+    return CompositeModel(**{**base, **fields})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _model(coefficients=(1.0,)), "one coefficient per power"),
+        (lambda: _model(powers=(2, 2)), "duplicate powers"),
+        (lambda: fit_coefficients(np.exp, BASE, [0, 1], [0.0, 1.0]), "powers must be positive"),
+        (lambda: fit_coefficients(np.exp, BASE, [1], []), "grid must be nonempty"),
+        (lambda: fit_coefficients(np.exp, BASE, [1], [0.0, -1.0]), "nonnegative"),
+        (lambda: fit_coefficients(np.exp, BASE, [1], [0.0, 1.0], -1.0), "ridge must be >= 0"),
+        (lambda: CompositeModel.from_text("racekde-composite-model v2\n"), "not a composite"),
+        (lambda: CompositeModel.from_text(""), "not a composite"),
+    ],
+)
+def test_composite_validation(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_sketch_of_another_power_rejected():
+    sketches, X = _sketch_set([1, 2])
+    sketches[1], sketches[2] = sketches[2], sketches[1]
+    with pytest.raises(ValueError, match="registered for power 1 has power 2"):
+        composite_estimate(sketches, _model(), DataVector.dense(X[0]), 5)
+
+
+def test_model_load_from_path_and_stream(tmp_path):
+    model = _model()
+    path = tmp_path / "model.txt"
+    model.save(str(path))
+    assert CompositeModel.load(str(path)) == model
+    with open(path) as f:
+        assert CompositeModel.load(f) == model

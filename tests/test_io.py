@@ -121,3 +121,17 @@ def test_non_finite_values_are_format_errors(token):
         list(read_dense(io.StringIO(f"1 2\n3 {token}\n")))
     with pytest.raises(DatasetFormatError, match="line 3"):
         list(read_sparse(io.StringIO(f"1:1.0\n\nx 2:{token}\n"), dim=4))
+
+
+@pytest.mark.parametrize(
+    "dim, text, error, message",
+    [
+        (0, "1:1.0\n", ValueError, "declared dimension must be positive"),
+        (-2, "", ValueError, "declared dimension must be positive"),
+        (4, "1:x\n", DatasetFormatError, "line 1: malformed token '1:x'"),
+        (4, "1:1.0\nx:2.0\n", DatasetFormatError, "line 2: malformed token 'x:2.0'"),
+    ],
+)
+def test_read_sparse_refusals(dim, text, error, message):
+    with pytest.raises(error, match=message):
+        list(read_sparse(io.StringIO(text), dim=dim))

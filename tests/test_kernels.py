@@ -126,3 +126,33 @@ def test_kernel_between_uses_right_metric():
 def test_kernel_rejects_non_finite_sigma(kind, sigma):
     with pytest.raises(ValueError, match="sigma"):
         KernelEval(kind=kind, sigma=sigma)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: angular_collision(np.array([0.5, 4.0])), "theta must lie in"),
+        (lambda: l2_collision(-1.0, 1.0), "distance must be nonnegative"),
+        (lambda: l1_collision(1.0, 0.0), "sigma must be positive"),
+        (lambda: l1_collision(-1.0, 1.0), "distance must be nonnegative"),
+        (lambda: apply_power(0.5, 0), "power must be >= 1"),
+        (lambda: apply_power(1.5, 2), "k must lie in"),
+        (lambda: rehash_adjust(0.5, 1), "hash_range must be >= 2"),
+        (lambda: rehash_adjust(-0.1, 4), "k must lie in"),
+        (lambda: KernelEval(kind="l2", sigma=1.0, power=0), "power must be >= 1"),
+        (lambda: KernelEval(kind="l1", sigma=1.0, rehash_range=1), "rehash_range must be >= 2"),
+        (lambda: KernelEval(kind="l1"), "sigma must be positive"),
+    ],
+)
+def test_kernel_range_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_mc_collision_refuses_bad_trials_and_dimensions():
+    cfg = LshConfig("l2", 3, 1.0, 1, 4, 16, 2)
+    x = DataVector.dense([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        mc_collision(cfg, x, x, 0)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mc_collision(cfg, x, DataVector.dense([1.0, 0.0]), 10)

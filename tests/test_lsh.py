@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -580,6 +581,8 @@ def test_point_chunks_bound_slots_and_projections():
         ("l2", dict(hash_range=2**64)),
         ("l2", dict(rows=17, hash_range=2**60)),  # rows * range > 2**64
         ("srp", dict(power=64, hash_range=2**64)),
+        ("l2", dict(seed=-1)),
+        ("l2", dict(seed=2**64)),
     ],
 )
 def test_fields_beyond_the_file_header_rejected(kind, fields):
@@ -619,3 +622,103 @@ def test_hash_codes_beyond_int64_raise(kind):
     for call in calls:
         with pytest.raises(OverflowError, match="hash code exceeds 64 bits"):
             call()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dim", 8.0), ("rows", 10.0), ("power", 1.0), ("hash_range", 16.0), ("seed", 1.0),
+     ("seed", 1.5)],
+)
+def test_integer_fields_refuse_floats(field, value):
+    with pytest.raises(TypeError):
+        replace(l2_cfg(), **{field: value})
+
+
+@pytest.mark.parametrize("field", ["dim", "rows", "power", "hash_range", "seed"])
+def test_numpy_integer_fields_become_ints(field):
+    base = l2_cfg()
+    for make in (np.int64, np.uint32):
+        cfg = replace(base, **{field: make(getattr(base, field))})
+        assert type(getattr(cfg, field)) is int
+        assert cfg == base and RaceSketch(cfg).to_bytes() == RaceSketch(base).to_bytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cfg: projection_component(cfg, cfg.rows, 0, 0),
+        lambda cfg: projection_component(cfg, 0, cfg.power, 0),
+        lambda cfg: projection_component(cfg, 0, 0, cfg.dim),
+        lambda cfg: projection_component(cfg, -1, 0, 0),
+        lambda cfg: offset_component(cfg, cfg.rows, 0),
+        lambda cfg: offset_component(cfg, 0, cfg.power),
+        lambda cfg: pstable_hash(cfg, DataVector.dense(np.ones(8)), cfg.rows),
+        lambda cfg: pstable_hash(cfg, DataVector.dense(np.ones(8)), -1),
+    ],
+    ids=["proj-row", "proj-concat", "proj-dim", "proj-negative", "offset-row",
+         "offset-concat", "pstable-row", "pstable-negative"],
+)
+def test_component_and_row_indices_out_of_range(call):
+    with pytest.raises(IndexError, match="out of range"):
+        call(l2_cfg(power=2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: rehash((1, 2), 0, 1, 3), ValueError, "hash_range must be >= 2"),
+        (lambda: srp_hash(l2_cfg(), DataVector.dense(np.ones(8)), 0), ValueError, "srp config"),
+        (lambda: pstable_hash(srp_cfg(), DataVector.dense(np.ones(8)), 0), ValueError,
+         "l2 or l1 config"),
+        (lambda: srp_hash(srp_cfg(), DataVector.dense(np.ones(7)), 0), DimensionMismatchError,
+         "expected dim 8, got 7"),
+        (lambda: pstable_hash(l2_cfg(), DataVector.sparse(9, [1], [1.0]), 0),
+         DimensionMismatchError, "expected dim 8, got 9"),
+        (lambda: srp_hash(srp_cfg(), DataVector.dense(np.ones(8)), 10), IndexError,
+         "row out of range"),
+    ],
+    ids=["rehash-range", "srp-family", "pstable-family", "srp-dim", "pstable-dim", "srp-row"],
+)
+def test_single_row_hashes_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+def test_cold_projection_block_peaks_at_twice_its_size(kind):
+    """The counters are hashed and the uniforms mapped in place, so a block
+    allocates at most one more buffer of its own size while it is made."""
+    cfg = LshConfig(kind, 5000, 1.0, 1, 500, 64, 3)
+    projection_block(cfg, 0, 1)  # loads scipy for l2, outside the measurement
+    tracemalloc.start()
+    try:
+        W = projection_block(cfg, 0, cfg.rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert W.shape == (500, 5000)
+    assert peak <= 2.1 * W.nbytes
+
+
+@pytest.mark.parametrize("mode", CACHE_MODES)
+@pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
+def test_hashing_never_writes_into_caller_arrays(kind, mode):
+    cfg = kind_cfg(kind)
+    rng = np.random.default_rng(24)
+    X = rng.normal(size=(5, 16))
+    frozen = X.copy()
+    frozen.flags.writeable = False
+    dims = np.array([3, 0, 11], dtype=np.uint64)
+    x = sparse_vec(rng, [1, 6, 9, 15])
+    code = np.array([5, -3, 2**40], dtype=np.int64)
+    kept = [a.copy() for a in (X, dims, x.indices, x.values, code)]
+    with cache_mode(mode):
+        want = hash_matrix(cfg, X)
+        assert np.array_equal(hash_matrix(cfg, frozen), want)
+        projection_block(cfg, 0, cfg.rows, dims)
+        hash_all(cfg, x)
+        RaceSketch(cfg).add(x)
+        rehash(code, 2, 64, 3)
+    for before, after in zip(kept, (X, dims, x.indices, x.values, code)):
+        assert np.array_equal(before, after)
+    assert np.array_equal(frozen, X)

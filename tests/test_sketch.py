@@ -16,6 +16,7 @@ from racekde.sketch import (
     UnmatchedDeletionError,
     ace_variance_bound,
     rehashed_variance_bound,
+    relative_error_bound,
 )
 from racekde.vectors import DataVector, DimensionMismatchError, NonFiniteInputError
 
@@ -323,6 +324,7 @@ def test_huge_declared_grid_rejected_before_allocation(storage_code):
         ("<I", 54, 0, "unknown rehash family 0"),
         ("<I", 54, 2, "unknown rehash family 2"),
         (None, None, None, "shorter than header"),
+        ("<3s", 59, b"\x00\x01\x00", "reserved header bytes are not zero"),
     ],
 )
 def test_bad_header_field_rejected(fmt, offset, value, message):
@@ -531,3 +533,42 @@ def test_points_of_the_wrong_shape_rejected_unchanged(shape):
 def test_empty_sketch_refuses_batch_queries():
     with pytest.raises(EmptySketchError):
         RaceSketch(l2_cfg()).raw_query_matrix(RNG.normal(size=(3, 6)))
+
+
+def test_unknown_storage_mode_rejected():
+    with pytest.raises(ValueError, match="unknown storage mode 'bogus'"):
+        RaceSketch(l2_cfg(), "bogus")
+
+
+def test_rehashed_estimate_refuses_srp():
+    s = RaceSketch(srp_cfg(rows=9))
+    s.add(rand_vec())
+    with pytest.raises(ValueError, match="l2/l1 sketches only"):
+        s.estimate_rehashed(rand_vec())
+
+
+def test_relative_error_bound_srp_form():
+    """Without a rehash range the per-row variance bound is the half-power
+    mean squared; a rehash range only adds to it."""
+    half, density, rows, delta = 0.3, 0.2, 100, 0.01
+    want = np.sqrt(half**2 * 32.0 * np.log(1.0 / delta) / rows) / density
+    assert relative_error_bound(half, density, None, rows, delta) == pytest.approx(want, rel=1e-15)
+    assert relative_error_bound(half, density, 64, rows, delta) > want
+    grid = relative_error_bound(np.array([half, 2 * half]), density, None, rows, delta)
+    assert grid == pytest.approx([want, 2 * want], rel=1e-15)
+
+
+def test_deserialize_reads_bytes():
+    s = RaceSketch(l2_cfg())
+    s.add(rand_vec())
+    data = s.to_bytes()
+    assert RaceSketch.deserialize(data) == s
+    assert RaceSketch.deserialize(bytearray(data)) == s
+
+
+def test_equality_needs_a_sketch_of_the_same_config():
+    s = RaceSketch(l2_cfg())
+    assert s.__eq__(s.to_bytes()) is NotImplemented
+    assert s != "sketch"
+    assert s != RaceSketch(l2_cfg(seed=2))  # both empty, other hashes
+    assert s == RaceSketch(l2_cfg(), "sparse")

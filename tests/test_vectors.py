@@ -132,3 +132,11 @@ def test_non_finite_values_rejected(bad):
         DataVector.dense([1.0, bad])
     with pytest.raises(NonFiniteInputError):
         DataVector.sparse(4, [0, 2], [1.0, bad])
+
+
+def test_dot_dense_sparse():
+    x = DataVector.dense([5.0, 1.0, 9.0, 4.0])
+    y = DataVector.sparse(4, [1, 3], [2.0, -1.0])
+    assert dot(x, y) == 2.0 - 4.0
+    with pytest.raises(DimensionMismatchError):
+        dot(x, DataVector.sparse(5, [1], [1.0]))
