@@ -9,6 +9,7 @@ by the file system (a ValueError, an ArithmeticError or an OSError).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from dataclasses import replace
@@ -139,6 +140,16 @@ def _reader(path: str, fmt: str, dim: Optional[int], want: Optional[int] = None)
     return read_sparse(path, dim) if fmt == "sparse" else read_dense(path, dim)
 
 
+def _records(method: str, params: str, size: int, estimates, exact=None) -> List[EvalRecord]:
+    """One EvalRecord per estimate, numbered from 0; ``exact`` pairs each
+    with its ground truth, or is None when there is none."""
+    truths = itertools.repeat(None) if exact is None else exact
+    return [
+        EvalRecord(qid, method, params, size, truth, estimate)
+        for qid, (truth, estimate) in enumerate(zip(truths, estimates))
+    ]
+
+
 def cmd_sketch(args) -> int:
     start = time.monotonic()
     stream = _reader(args.input, args.format, args.dim)
@@ -165,18 +176,10 @@ def cmd_query(args) -> int:
         f"range={sketch.config.hash_range},power={sketch.config.power},"
         f"groups={args.groups}"
     )
-    records = []
-    for qid, q in enumerate(_reader(args.queries, args.format, args.dim, sketch.config.dim)):
-        records.append(
-            EvalRecord(
-                query_id=qid,
-                method="race",
-                params=params,
-                bytes=size,
-                exact=None,
-                estimate=sketch.estimate(q, args.groups).value,
-            )
-        )
+    queries = _reader(args.queries, args.format, args.dim, sketch.config.dim)
+    # A generator: each query is estimated as it is read.
+    estimates = (sketch.estimate(q, args.groups).value for q in queries)
+    records = _records("race", params, size, estimates)
     write_eval_csv(records, args.output)
     print(f"queries={len(records)} output={args.output}")
     return 0
@@ -213,6 +216,8 @@ def cmd_info(args) -> int:
 def cmd_eval(args) -> int:
     _check_groups(args.groups)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise _UsageError("--methods names no method")
     for m in methods:
         if m not in ("race", "rs"):
             raise _UsageError(f"unknown method {m!r}")
@@ -220,6 +225,8 @@ def cmd_eval(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise _UsageError("--sizes must be comma-separated integers") from None
+    if min(sizes) < 1:
+        raise _UsageError("--sizes must be positive")
     if args.repeats < 1:
         raise _UsageError("--repeats must be >= 1")
 
@@ -267,17 +274,7 @@ def cmd_eval(args) -> int:
                     size = rs.memory_bytes()
                     params = f"budget={budget},samples={m},rep={rep}"
                     estimates = [rs.estimate(q, kernel) for q in queries]
-                for qid, (ex, est) in enumerate(zip(exact, estimates)):
-                    records.append(
-                        EvalRecord(
-                            query_id=qid,
-                            method=method,
-                            params=params,
-                            bytes=size,
-                            exact=ex,
-                            estimate=est,
-                        )
-                    )
+                records += _records(method, params, size, estimates, exact)
     write_eval_csv(records, args.output)
     print(f"rows={len(records)} output={args.output}")
     return 0

@@ -11,10 +11,11 @@ target kernel density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TextIO, Tuple, Union
+from typing import Callable, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .io import PathOrFile, opened
 from .kernels import KernelEval
 from .lsh import Family
 from .sketch import RaceSketch
@@ -66,13 +67,9 @@ class CompositeModel:
         ]
         return "\n".join(lines) + "\n"
 
-    def save(self, sink: Union[TextIO, str]) -> None:
-        text = self.to_text()
-        if hasattr(sink, "write"):
-            sink.write(text)
-        else:
-            with open(sink, "w") as f:
-                f.write(text)
+    def save(self, sink: PathOrFile) -> None:
+        with opened(sink, "w") as f:
+            f.write(self.to_text())
 
     @classmethod
     def from_text(cls, text: str) -> "CompositeModel":
@@ -83,6 +80,10 @@ class CompositeModel:
         for line in lines[1:]:
             key, _, rest = line.partition(" ")
             fields[key] = rest
+        keys = ("kind", "sigma", "powers", "coefficients", "grid", "residual", "ridge")
+        missing = [key for key in keys if key not in fields]
+        if missing:
+            raise ValueError(f"composite model document lacks {', '.join(missing)}")
         sigma = None if fields["sigma"] == "-" else float(fields["sigma"])
         base = KernelEval(kind=Family(fields["kind"]), sigma=sigma)
         return cls(
@@ -95,10 +96,8 @@ class CompositeModel:
         )
 
     @classmethod
-    def load(cls, source: Union[TextIO, str]) -> "CompositeModel":
-        if hasattr(source, "read"):
-            return cls.from_text(source.read())
-        with open(source) as f:
+    def load(cls, source: PathOrFile) -> "CompositeModel":
+        with opened(source) as f:
             return cls.from_text(f.read())
 
 

@@ -10,11 +10,17 @@ Two text formats are supported:
 
 Readers stream: they yield one vector at a time and never buffer the file.
 Every value must be finite: ``nan`` or ``inf`` is a format error.
+
+This module owns opening files: every racekde reader and writer takes its
+source or sink through ``opened``, which opens a path and passes anything
+else through, and no other racekde module calls ``open``.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Union
 
@@ -22,9 +28,11 @@ import numpy as np
 
 from .vectors import DataVector, NonFiniteInputError
 
-__all__ = ["DatasetFormatError", "EvalRecord", "read_dense", "read_sparse", "write_eval_csv"]
+__all__ = ["DatasetFormatError", "EvalRecord", "opened", "read_dense", "read_sparse",
+           "write_eval_csv"]
 
-Source = Union[str, IO[str], Iterable[str]]
+PathOrFile = Union[str, os.PathLike, IO]
+Source = Union[PathOrFile, Iterable[str]]
 
 
 class DatasetFormatError(ValueError):
@@ -35,12 +43,27 @@ class DatasetFormatError(ValueError):
         self.line_number = line_number
 
 
-def _lines(source: Source):
-    if isinstance(source, str):
-        with open(source) as f:
-            yield from f
+@contextmanager
+def opened(target: Source, mode: str = "r"):
+    """Yield a ``str`` or ``os.PathLike`` target opened in ``mode``, closed on
+    exit; yield anything else (an open file, an iterable of lines) as it is,
+    left open. Text modes use ``newline=""``: writes keep their line ends,
+    and reads split lines at \\n, \\r and \\r\\n."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, newline=None if "b" in mode else "") as f:
+            yield f
     else:
-        yield from source
+        yield target
+
+
+def _data_lines(source: Source) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped text) of every line of source that is
+    neither blank nor a '#' comment."""
+    with opened(source) as lines:
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield lineno, stripped
 
 
 def _vector(lineno: int, make, *args) -> DataVector:
@@ -56,10 +79,7 @@ def read_dense(source: Source, dim: Optional[int] = None) -> Iterator[DataVector
     The dimension is taken from the first data line unless given; every
     later line must match it.
     """
-    for lineno, line in enumerate(_lines(source), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in _data_lines(source):
         try:
             values = np.array([float(tok) for tok in stripped.split()])
         except ValueError as exc:
@@ -77,10 +97,7 @@ def read_sparse(source: Source, dim: int) -> Iterator[DataVector]:
     """Yield sparse vectors of the declared dimension from index:value lines."""
     if dim <= 0:
         raise ValueError("declared dimension must be positive")
-    for lineno, line in enumerate(_lines(source), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in _data_lines(source):
         tokens = stripped.split()
         if tokens and ":" not in tokens[0]:
             tokens = tokens[1:]  # leading label, discarded
@@ -138,34 +155,18 @@ def _fmt(value: Optional[float]) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-def write_eval_csv(records: Iterable[EvalRecord], sink: Union[str, IO[str]]) -> None:
+def write_eval_csv(records: Iterable[EvalRecord], sink: PathOrFile) -> None:
     """Write records as CSV, sorted by (query_id, method, params).
 
     Floats are rendered with 17 significant digits so parsing them back
     recovers the exact doubles.
     """
     rows = sorted(records, key=lambda r: (r.query_id, r.method, r.params))
-
-    def emit(out):
+    with opened(sink, "w") as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["query_id", "method", "params", "bytes", "exact", "estimate", "rel_error"]
         )
         for r in rows:
-            writer.writerow(
-                [
-                    r.query_id,
-                    r.method,
-                    r.params,
-                    r.bytes,
-                    _fmt(r.exact),
-                    _fmt(r.estimate),
-                    _fmt(r.rel_error),
-                ]
-            )
-
-    if isinstance(sink, str):
-        with open(sink, "w", newline="") as f:
-            emit(f)
-    else:
-        emit(sink)
+            floats = (r.exact, r.estimate, r.rel_error)
+            writer.writerow([r.query_id, r.method, r.params, r.bytes, *map(_fmt, floats)])

@@ -41,11 +41,12 @@ import itertools
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .counters import STORES, SketchFormatError, UnmatchedDeletionError, nonzero, tally
+from .io import PathOrFile, opened
 from .lsh import (
     Family,
     LshConfig,
@@ -376,14 +377,11 @@ class RaceSketch:
         crc = zlib.crc32(payload, zlib.crc32(header))
         return b"".join((header, payload, _CRC.pack(crc)))
 
-    def serialize(self, sink: Union[BinaryIO, str]) -> int:
+    def serialize(self, sink: PathOrFile) -> int:
         """Write to_bytes() to a file object or a path; returns its length."""
         data = self.to_bytes()
-        if hasattr(sink, "write"):
-            sink.write(data)
-        else:
-            with open(sink, "wb") as f:
-                f.write(data)
+        with opened(sink, "wb") as f:
+            f.write(data)
         return len(data)
 
     @classmethod
@@ -421,13 +419,11 @@ class RaceSketch:
         return cls.__new__(cls)._fill(cfg, store, items)
 
     @classmethod
-    def deserialize(cls, source: Union[BinaryIO, bytes, str]) -> "RaceSketch":
+    def deserialize(cls, source: Union[PathOrFile, bytes]) -> "RaceSketch":
         if isinstance(source, (bytes, bytearray)):
             data = bytes(source)
-        elif hasattr(source, "read"):
-            data = source.read()
         else:
-            with open(source, "rb") as f:
+            with opened(source, "rb") as f:
                 data = f.read()
         return cls.from_bytes(data)
 

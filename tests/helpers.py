@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import contextlib
+import pathlib
 import struct
 import zlib
 
 import numpy as np
 
 from racekde import DataVector, KernelEval, exact_kde
+
+# The three forms every racekde reader and writer takes a file in.
+TARGET_KINDS = ("str", "path", "file")
+
+
+@contextlib.contextmanager
+def as_target(path, kind: str, mode: str = "r"):
+    """``path`` as a ``str``, as a ``pathlib.Path``, or as a file the caller
+    opened in ``mode``, which must still be open when the block ends."""
+    if kind == "file":
+        with open(path, mode) as f:
+            yield f
+            assert not f.closed, "the callee closed its caller's file"
+    else:
+        yield str(path) if kind == "str" else pathlib.Path(path)
 
 
 def gaussian_clusters(

@@ -545,6 +545,8 @@ def test_default_range(data_dir, tmp_path, capsys):
         (["--sizes", "100,x"], "--sizes must be"),
         (["--repeats", "0"], "--repeats must be"),
         (["--sizes", "70"], "budget 70 too small"),
+        (["--methods", ","], "--methods names no method"),
+        (["--sizes", "-5", "--methods", "rs"], "--sizes must be positive"),
     ],
 )
 def test_eval_flag_errors_exit_one(data_dir, capsys, flags, message):

@@ -14,6 +14,8 @@ from racekde.lsh import LshConfig
 from racekde.sketch import RaceSketch
 from racekde.vectors import DataVector
 
+from helpers import TARGET_KINDS, as_target
+
 BASE = KernelEval(kind="l2", sigma=2.0)
 
 
@@ -186,6 +188,10 @@ def _model(**fields):
         (lambda: fit_coefficients(np.exp, BASE, [1], [0.0, 1.0], -1.0), "ridge must be >= 0"),
         (lambda: CompositeModel.from_text("racekde-composite-model v2\n"), "not a composite"),
         (lambda: CompositeModel.from_text(""), "not a composite"),
+        (
+            lambda: CompositeModel.from_text("racekde-composite-model v1\nkind l2\n"),
+            "lacks sigma, powers, coefficients, grid, residual, ridge",
+        ),
     ],
 )
 def test_composite_validation(build, message):
@@ -207,3 +213,14 @@ def test_model_load_from_path_and_stream(tmp_path):
     assert CompositeModel.load(str(path)) == model
     with open(path) as f:
         assert CompositeModel.load(f) == model
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_model_save_and_load_take_a_path_or_a_file(tmp_path, kind):
+    model = _model()
+    path = tmp_path / "model.txt"
+    with as_target(path, kind, "w") as sink:
+        model.save(sink)
+    assert path.read_text() == model.to_text()
+    with as_target(path, kind) as source:
+        assert CompositeModel.load(source) == model

@@ -11,6 +11,8 @@ from racekde.io import (
     write_eval_csv,
 )
 
+from helpers import TARGET_KINDS, as_target
+
 
 def test_read_dense_basic():
     text = "1.0 2.0 3.0\n# comment\n\n4 5 6\n"
@@ -113,6 +115,40 @@ def test_csv_to_file(tmp_path):
     path = tmp_path / "out.csv"
     write_eval_csv([EvalRecord(0, "race", "p", 8, 1.0, 1.0)], str(path))
     assert path.read_text().splitlines()[1] == "0,race,p,8,1,1,0"
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_readers_take_a_path_or_a_file(tmp_path, kind):
+    dense, sparse = tmp_path / "d.txt", tmp_path / "s.txt"
+    dense.write_text("1 2\n# comment\n\n3 4\n")
+    sparse.write_text("label 1:0.5\n2:1.0\n")
+    with as_target(dense, kind) as source:
+        assert [v.to_dense().tolist() for v in read_dense(source)] == [[1, 2], [3, 4]]
+    with as_target(sparse, kind) as source:
+        assert [v.to_dense().tolist() for v in read_sparse(source, 2)] == [[0.5, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_write_eval_csv_takes_a_path_or_a_file(tmp_path, kind):
+    path = tmp_path / "out.csv"
+    with as_target(path, kind, "w") as sink:
+        write_eval_csv([EvalRecord(0, "race", "p", 8, 1.0, 1.0)], sink)
+    assert path.read_bytes() == (
+        b"query_id,method,params,bytes,exact,estimate,rel_error\n0,race,p,8,1,1,0\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["str", "path"])
+def test_path_readers_count_every_line_end(tmp_path, kind):
+    """A file read by path splits lines at \\n, \\r\\n and a lone \\r alike,
+    so an error names the same line whichever ends the file uses."""
+    path = tmp_path / "d.txt"
+    path.write_bytes(b"1 2\r\n\r\n3 4\r5 x\n")
+    with as_target(path, kind) as source, pytest.raises(DatasetFormatError, match="line 4"):
+        list(read_dense(source))
+    path.write_bytes(b"1:1.0\r\n\r\n2:1.0\r2:x\n")
+    with as_target(path, kind) as source, pytest.raises(DatasetFormatError, match="line 4"):
+        list(read_sparse(source, 2))
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])

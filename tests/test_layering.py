@@ -1,5 +1,6 @@
 """No racekde module imports or reads an underscore name of a sibling
-module, so every rule stays behind the module that owns it."""
+module, and none but io opens a file, so every rule stays behind the module
+that owns it."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,29 @@ def test_guard_sees_private_imports():
         "vectors._helper\nfrom numpy import _private\n"
     )
     assert sorted(private_sibling_names(tree)) == ["_CACHE", "_blocks", "_helper", "_top"]
+
+
+def builtin_open_calls(tree: ast.AST):
+    """Line numbers of the calls of the builtin ``open`` in a module."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "open"
+        ):
+            yield node.lineno
+
+
+# io owns opening files; every other module takes its files through io.opened.
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "io.py"])
+def test_only_io_opens_files(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert list(builtin_open_calls(tree)) == []
+
+
+def test_open_guard_sees_builtin_calls():
+    tree = ast.parse(
+        "with open(path, 'rb') as f:\n    pass\nopened(path)\nf.open()\n"
+        "x = [open(p) for p in paths]\n"
+    )
+    assert list(builtin_open_calls(tree)) == [1, 5]

@@ -20,7 +20,7 @@ from racekde.sketch import (
 )
 from racekde.vectors import DataVector, DimensionMismatchError, NonFiniteInputError
 
-from helpers import crafted_file, with_field, with_items, with_sigma
+from helpers import TARGET_KINDS, as_target, crafted_file, with_field, with_items, with_sigma
 
 RNG = np.random.default_rng(42)
 
@@ -564,6 +564,18 @@ def test_deserialize_reads_bytes():
     data = s.to_bytes()
     assert RaceSketch.deserialize(data) == s
     assert RaceSketch.deserialize(bytearray(data)) == s
+
+
+@pytest.mark.parametrize("kind", TARGET_KINDS)
+def test_serialize_and_deserialize_take_a_path_or_a_file(tmp_path, kind):
+    s = RaceSketch(l2_cfg())
+    s.add(rand_vec())
+    path = tmp_path / "s.bin"
+    with as_target(path, kind, "wb") as sink:
+        assert s.serialize(sink) == len(s.to_bytes())
+    assert path.read_bytes() == s.to_bytes()
+    with as_target(path, kind, "rb") as source:
+        assert RaceSketch.deserialize(source) == s
 
 
 def test_equality_needs_a_sketch_of_the_same_config():
