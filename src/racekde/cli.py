@@ -213,9 +213,18 @@ def cmd_info(args) -> int:
     return 0
 
 
+def _distinct(flag: str, entries: list) -> list:
+    """The entries of a list flag, refusing one given twice, which would run
+    and write its rows twice."""
+    for i, entry in enumerate(entries):
+        if entry in entries[:i]:
+            raise _UsageError(f"{flag} repeats {entry!r}")
+    return entries
+
+
 def cmd_eval(args) -> int:
     _check_groups(args.groups)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = _distinct("--methods", [m.strip() for m in args.methods.split(",") if m.strip()])
     if not methods:
         raise _UsageError("--methods names no method")
     for m in methods:
@@ -225,6 +234,7 @@ def cmd_eval(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise _UsageError("--sizes must be comma-separated integers") from None
+    _distinct("--sizes", sizes)
     if min(sizes) < 1:
         raise _UsageError("--sizes must be positive")
     if args.repeats < 1:

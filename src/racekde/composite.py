@@ -10,6 +10,8 @@ target kernel density.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Tuple
 
@@ -30,6 +32,10 @@ class CompositeModel:
 
     ``fit_residual`` is the maximum absolute error over the fit grid and is
     always recorded; consumers should treat it as the model's floor error.
+
+    Every model, fitted or loaded, has distinct positive powers with one
+    coefficient each, a nonempty grid of finite nonnegative distances, and a
+    finite nonnegative residual and ridge; anything else raises ValueError.
     """
 
     base: KernelEval
@@ -40,10 +46,22 @@ class CompositeModel:
     ridge: float
 
     def __post_init__(self):
+        if not self.powers:
+            raise ValueError("powers must be nonempty")
+        if any(p < 1 for p in self.powers):
+            raise ValueError("powers must be positive")
         if len(self.powers) != len(self.coefficients):
             raise ValueError("one coefficient per power required")
         if len(set(self.powers)) != len(self.powers):
             raise ValueError("duplicate powers")
+        if not self.fit_grid:
+            raise ValueError("grid must be nonempty")
+        if not all(math.isfinite(g) and g >= 0 for g in self.fit_grid):
+            raise ValueError("grid distances must be finite and nonnegative")
+        if not (math.isfinite(self.fit_residual) and self.fit_residual >= 0):
+            raise ValueError("fit_residual must be finite and >= 0")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError("ridge must be >= 0 and finite")
 
     def predict(self, distances) -> np.ndarray:
         z = np.asarray(self.base.base(distances), dtype=np.float64)
@@ -134,32 +152,27 @@ def fit_coefficients(
     """Ridge-regress target(c) onto {base(c)**p : p in powers} over a grid.
 
     Minimizes sum_c (target(c) - sum_p w_p base(c)**p)**2 + ridge*||w||**2
-    by the normal equations. With ridge=0 and duplicated columns the system
-    is singular and raises LinAlgError.
+    by the normal equations. Arguments that CompositeModel refuses raise its
+    ValueError before any solve; a singular system raises LinAlgError.
     """
     powers = tuple(int(p) for p in powers)
-    if any(p < 1 for p in powers):
-        raise ValueError("powers must be positive")
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-    if np.any(grid < 0):
-        raise ValueError("grid distances must be nonnegative")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
+    unfitted = CompositeModel(
+        base=base,
+        powers=powers,
+        coefficients=(0.0,) * len(powers),
+        fit_grid=tuple(float(g) for g in grid),
+        fit_residual=0.0,
+        ridge=float(ridge),
+    )
+    grid = np.asarray(unfitted.fit_grid)
     z = np.asarray(base.base(grid), dtype=np.float64)
     B = np.column_stack([z**p for p in powers])
     t = np.asarray(target(grid), dtype=np.float64)
     gram = B.T @ B + ridge * np.eye(len(powers))
     w = np.linalg.solve(gram, B.T @ t)
     residual = float(np.max(np.abs(t - B @ w)))
-    return CompositeModel(
-        base=base,
-        powers=powers,
-        coefficients=tuple(float(v) for v in w),
-        fit_grid=tuple(float(g) for g in grid),
-        fit_residual=residual,
-        ridge=float(ridge),
+    return dataclasses.replace(
+        unfitted, coefficients=tuple(float(v) for v in w), fit_residual=residual
     )
 
 

@@ -57,7 +57,8 @@ def tally(local: np.ndarray, first: int, span: int):
     """Occurrences of the flat keys ``first + local``, local in [0, span):
     a bincount when the span is no wider than the keys, else unique keys."""
     if span <= local.size:
-        counts = np.bincount(local.astype(np.int64).ravel(), minlength=span)
+        # local < span <= local.size, so the uint64 keys read as int64
+        counts = np.bincount(local.view(np.int64).ravel(), minlength=span)
         return slice(first, first + span), counts.astype(np.uint64)
     keys, counts = np.unique(local, return_counts=True)
     return keys + np.uint64(first), counts.astype(np.uint64)

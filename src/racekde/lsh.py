@@ -24,17 +24,24 @@ configs generate row blocks on every call. scipy, slow to import, is loaded
 only to draw srp/l2 projections.
 
 Every hash runs one block loop, :func:`slot_blocks`: row blocks outside,
-so an uncached config generates each block once, and point chunks inside.
+so an uncached config generates each block once, and chunks inside.
 A row block holds as many rows as keep its power * width projection
 components (width is dim, or a sparse input's nnz) within the 4e6 cap, and
-never fewer than one row. A point chunk holds at most 2e7 slots and twice
-that many projections, so the memory of a hash call does not grow with its
-number of points.
+never fewer than one row. A chunk is up to a few hundred points by as many
+of the block's rows as keep it within 65,536 slots (0.5 MiB of float64)
+and twice that many projections; for inputs wider than a few hundred
+dimensions, each side spans at least the width, so the matmul stays
+efficient. Every temporary of a hash step is chunk-sized, so none grows
+with the number of points in the call.
 
 The p-stable code tuples have unbounded range and are folded to a finite
 slot range with a seeded universal-style hash ("rehashing"). The variant
 implemented here is identified by :data:`REHASH_FAMILY_ID` and recorded in
 serialized sketches, since merged sketches must agree on it bit-for-bit.
+At power 1, a row of a chunk whose codes span fewer than half as many
+values as the chunk has points is folded by table: each value of the span
+is mixed once and every point gathers its slot. Other rows, and every row
+at power > 1, mix each code; both ways give the same slots.
 """
 
 from __future__ import annotations
@@ -256,7 +263,7 @@ def _fold_keys(seed: int, row_start: int, row_stop: int) -> np.ndarray:
     return _hash_counter(_base(seed, _TAG_REHASH), rows)
 
 
-def _fold(codes: np.ndarray, keys: np.ndarray, hash_range: int) -> np.ndarray:
+def _mix_fold(codes: np.ndarray, keys: np.ndarray, hash_range: int) -> np.ndarray:
     """Fold (n, rows, p) int64 code tuples into (n, rows) slots, starting
     each row from its key, in one state buffer."""
     state = np.broadcast_to(keys, codes.shape[:2]).copy()
@@ -268,6 +275,53 @@ def _fold(codes: np.ndarray, keys: np.ndarray, hash_range: int) -> np.ndarray:
     return state
 
 
+def _table_fold(codes: np.ndarray, keys: np.ndarray, lo: np.ndarray, width: int,
+                hash_range: int) -> np.ndarray:
+    """The slots of _mix_fold for (n, rows) power-1 codes, for the rows whose
+    codes lie in [lo, lo + width): each row folds the width codes from its lo
+    once, into a table, and every point gathers its slot from the table. A
+    row with codes outside that range gets arbitrary slots of its table, for
+    the caller to replace. The codes' buffer is reused for the table
+    positions."""
+    lo = lo.view(np.uint64)  # the code words, as the mixer reads them
+    table = lo[:, None] + np.arange(width, dtype=np.uint64)
+    table ^= keys[:, None]
+    _fmix64(table)
+    table %= np.uint64(hash_range)
+    # row * width + code - lo, exact modulo 2**64 in the rows that fit
+    at = codes.view(np.uint64)
+    at += np.arange(0, table.size, width, dtype=np.uint64) - lo
+    return np.take(table, at.view(np.int64), mode="clip")
+
+
+def _fold(codes: np.ndarray, keys: np.ndarray, hash_range: int) -> np.ndarray:
+    """Fold (n, rows, p) int64 code tuples into (n, rows) slots, starting
+    each row from its key; the codes are the caller's fresh buffer, which
+    the fold may overwrite.
+
+    At power 1, the rows whose codes span fewer than half as many values as
+    there are points take :func:`_table_fold`, which mixes each value in the
+    widest such span once per row, at most half the mixing of their codes;
+    the other rows mix each code (:func:`_mix_fold`). Both give the same
+    slots.
+    """
+    n, m, p = codes.shape
+    if p == 1 and n > 1:
+        lo = codes.min(axis=0)[:, 0]
+        # hi - lo, exact as uint64 for any two int64 codes
+        span = codes.max(axis=0)[:, 0].view(np.uint64) - lo.view(np.uint64)
+        fits = span < np.uint64(n // 2)
+        if fits.all():
+            return _table_fold(codes[:, :, 0], keys, lo, int(span.max()) + 1, hash_range)
+        if fits.any():
+            wide = np.flatnonzero(~fits)
+            mixed = _mix_fold(codes[:, wide], keys[wide], hash_range)
+            out = _table_fold(codes[:, :, 0], keys, lo, int(span[fits].max()) + 1, hash_range)
+            out[:, wide] = mixed
+            return out
+    return _mix_fold(codes, keys, hash_range)
+
+
 def rehash(code: Sequence[int], row: int, hash_range: int, seed: int) -> int:
     """Universal-style hash of one (row, code tuple) into [0, hash_range).
 
@@ -276,7 +330,7 @@ def rehash(code: Sequence[int], row: int, hash_range: int, seed: int) -> int:
     """
     if hash_range < 2:
         raise ValueError("hash_range must be >= 2")
-    arr = np.asarray(code, dtype=np.int64).reshape(1, 1, -1)
+    arr = np.array(code, dtype=np.int64).reshape(1, 1, -1)
     return int(_fold(arr, _fold_keys(seed, row, row + 1), hash_range)[0, 0])
 
 
@@ -291,9 +345,9 @@ def _to_slots(
     ``proj`` holds the fresh projections (n, m * power) of n points on m
     consecutive rows, with their offsets ``b`` and fold ``keys``. srp packs
     the sign bits little-endian into (n, m) slots. l2/l1 floor
-    (proj + b) / sigma, in place, into (n, m, power) integer codes and fold
-    them into (n, m) slots, or return the codes unfolded when ``keys`` is
-    None. A code outside int64 raises OverflowError.
+    (proj + b) / sigma into (n, m, power) int64 codes, in proj's own buffer,
+    and fold them into (n, m) slots, or return the codes unfolded when
+    ``keys`` is None. A code outside int64 raises OverflowError.
     """
     n = proj.shape[0]
     p = cfg.power
@@ -303,11 +357,15 @@ def _to_slots(
         return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(p, dtype=np.uint64))
     proj += b
     proj /= cfg.sigma
+    flat = np.floor(proj, out=proj).reshape(-1)
+    codes = flat.view(np.int64)
     try:
         with np.errstate(invalid="raise"):
-            codes = np.floor(proj, out=proj).astype(np.int64).reshape(n, m, p)
+            # A 1-d cast onto its own buffer runs in place.
+            np.copyto(codes, flat, casting="unsafe")
     except FloatingPointError:
         raise OverflowError(f"hash code exceeds 64 bits at sigma {cfg.sigma!r}") from None
+    codes = codes.reshape(n, m, p)
     if keys is None:
         return codes
     return _fold(codes, keys, cfg.hash_range)
@@ -316,8 +374,9 @@ def _to_slots(
 # Projection components held at once: the cap on a generated row block and
 # on the total size of the projection cache.
 _MAX_COMPONENTS = 4_000_000
-# Slots of a point chunk; its projections are bounded by twice this.
-_CHUNK_ITEM_ROWS = 20_000_000
+# Slots of a chunk, the unit of every hash step, and half its projections
+# (wide inputs aside, see _chunk_shape); 64k float64 slots are 0.5 MiB.
+_CHUNK_ITEM_ROWS = 65_536
 
 _HashState = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
 
@@ -483,20 +542,48 @@ def hash_blocks(cfg: LshConfig) -> Iterator[Tuple[int, int, np.ndarray, Optional
         yield r0, r1, W, b
 
 
+def _aligned(k: int) -> int:
+    """k rounded down to a multiple of 64 when it is at least 64."""
+    return k - k % 64 if k >= 64 else k
+
+
+def _chunk_shape(cfg: LshConfig, n: int, step: int, width: int) -> Tuple[int, int]:
+    """(points, rows) of the chunks of n points on row blocks of step rows,
+    for inputs of the given width (dim, or a sparse input's nnz).
+
+    A chunk holds at most ``_CHUNK_ITEM_ROWS`` slots and twice that many
+    projections: about the square root of that many points (more when the
+    row block is too narrow to fill it) times as many rows as fit. A side
+    shorter than the whole is a multiple of 64: BLAS then tiles most chunks
+    as it tiles the unchunked product X @ W.T, so their projections match
+    that product bit for bit. Each side also spans at least the width,
+    rounded down to a multiple of 64, so the matmul packs at most two input
+    values per slot; a chunk of wide inputs can thus pass the bound above,
+    though never its row block's projections.
+    """
+    cells = max(1, min(_CHUNK_ITEM_ROWS, 2 * _CHUNK_ITEM_ROWS // cfg.power))
+    side = width - width % 64
+    points = max(1, min(n, max(_aligned(math.isqrt(cells)), _aligned(cells // step), side)))
+    return points, max(1, min(step, max(_aligned(cells // points), side)))
+
+
 def slot_blocks(
     cfg: LshConfig, X: np.ndarray, dims: Optional[np.ndarray] = None
 ) -> Iterator[Tuple[int, int, int, np.ndarray]]:
     """Yield (row_start, row_stop, point_start, slots): the uint64 slots
     on rows [row_start, row_stop) of a chunk of points of the checked
     float64 matrix X, from point_start on. X's columns are the input
-    dimensions ``dims`` (every dimension when None). A chunk holds at most
-    ``_CHUNK_ITEM_ROWS`` slots and twice that many projections."""
-    n = X.shape[0]
-    step = _row_block_size(cfg, cfg.dim if dims is None else dims.size)
-    chunk = max(1, min(_CHUNK_ITEM_ROWS // step, 2 * _CHUNK_ITEM_ROWS // (step * cfg.power)))
+    dimensions ``dims`` (every dimension when None). Each row block is
+    generated once and cut into chunks of :func:`_chunk_shape`."""
+    n, p, width = X.shape[0], cfg.power, X.shape[1]
+    points, rows = _chunk_shape(cfg, n, _row_block_size(cfg, width), width)
     for r0, r1, W, b, keys in _blocks(cfg, dims):
-        for n0 in range(0, n, chunk):
-            yield r0, r1, n0, slots_for_block(cfg, X[n0 : n0 + chunk], W, b, r0, keys)
+        for s0 in range(r0, r1, rows):
+            i, j = s0 - r0, min(r1, s0 + rows) - r0
+            Ws = W[i * p : j * p]
+            bs, ks = (None, None) if b is None else (b[i * p : j * p], keys[i:j])
+            for n0 in range(0, n, points):
+                yield s0, r0 + j, n0, slots_for_block(cfg, X[n0 : n0 + points], Ws, bs, s0, ks)
 
 
 def check_points(cfg: LshConfig, X: np.ndarray) -> np.ndarray:

@@ -53,7 +53,6 @@ from .lsh import (
     REHASH_FAMILY_ID,
     check_points,
     hash_all,
-    hash_matrix,
     slot_blocks,
 )
 from .vectors import DataVector
@@ -189,10 +188,12 @@ class RaceSketch:
         """The (rows, R) counter array of a dense sketch."""
         return self._store.counts
 
-    def _row_keys(self, slots: np.ndarray) -> np.ndarray:
-        """Flat keys row * R + slot of slots holding one slot per row."""
+    def _row_keys(self, slots: np.ndarray, row_start: int = 0) -> np.ndarray:
+        """Flat keys row * R + slot, in place, of fresh slots holding one slot
+        for each row from row_start on."""
         R = self.config.hash_range
-        return slots + np.arange(self.config.rows, dtype=np.uint64) * np.uint64(R)
+        slots += np.arange(row_start, row_start + slots.shape[-1], dtype=np.uint64) * np.uint64(R)
+        return slots
 
     # ------------------------------------------------------------------ build
 
@@ -222,16 +223,15 @@ class RaceSketch:
         self._update(x, -1, self._store.subtract)
 
     def _tallies(self, X: np.ndarray):
-        """(flat keys, counts) of the checked points X, one pair per block
+        """(flat keys, counts) of the checked points X, one pair per chunk
         of ``slot_blocks``."""
         R = self.config.hash_range
         for r0, r1, _n0, slots in slot_blocks(self.config, X):
-            local = np.arange(r1 - r0, dtype=np.uint64) * np.uint64(R)
-            yield tally(slots + local, r0 * R, (r1 - r0) * R)
+            yield tally(self._row_keys(slots), r0 * R, (r1 - r0) * R)
 
     def _update_matrix(self, X: np.ndarray, sign: int, apply, undo) -> None:
         """Apply the store's add (sign 1) or subtract (sign -1) to the points
-        X block by block, all or nothing: when a block raises, those applied
+        X chunk by chunk, all or nothing: when a chunk raises, those applied
         before it are hashed again and undone; no copy of the counters is kept."""
         X = check_points(self.config, X)
         items = self._counted(sign * X.shape[0])
@@ -286,16 +286,22 @@ class RaceSketch:
     def raw_query(self, q: DataVector) -> np.ndarray:
         """The L counters at the query's slots, one per row."""
         slots = hash_all(self.config, q)
-        return self._counters_at(slots[None, :])[0]
+        self._check_nonempty()
+        return self._store.gather(self._row_keys(slots))
 
     def raw_query_matrix(self, Q: np.ndarray) -> np.ndarray:
-        """Counters for a batch of dense queries; shape (n, rows)."""
-        return self._counters_at(hash_matrix(self.config, Q))
+        """Counters for a batch of dense queries; shape (n, rows), gathered
+        chunk by chunk of ``slot_blocks``."""
+        Q = check_points(self.config, Q)
+        self._check_nonempty()
+        out = np.empty((Q.shape[0], self.config.rows), dtype=np.uint64)
+        for r0, r1, n0, slots in slot_blocks(self.config, Q):
+            out[n0 : n0 + slots.shape[0], r0:r1] = self._store.gather(self._row_keys(slots, r0))
+        return out
 
-    def _counters_at(self, slots: np.ndarray) -> np.ndarray:
+    def _check_nonempty(self) -> None:
         if self.items < 1:
             raise EmptySketchError("query on an empty sketch")
-        return self._store.gather(self._row_keys(slots))
 
     def estimate(self, q: DataVector, groups: int = 9) -> KdeEstimate:
         """Median of the means of ``groups`` (odd) groups of L // groups

@@ -104,3 +104,37 @@ def with_sigma(data, sigma):
 def with_items(data, items):
     """A sketch file with its header item count rewritten and its CRC redone."""
     return with_field(data, "<Q", 46, items)
+
+
+# Configs and points that take each fold path once the hash works in small
+# chunks (see ``small_chunks``): 23 points of dimension 5 on 20 rows.
+# "l2-table": tight points, wide bins, every row of every chunk is tabled;
+# "l1-wide": spread points, narrow bins, every row is mixed;
+# "l1-mixed": Cauchy rows of both kinds within one chunk;
+# "l2-power3" folds by mixing only, and "srp" packs sign bits.
+SMALL_CHUNK_CASES = {
+    "l2-table": (("l2", 5, 4.0, 1, 20, 16, 3), 0.05),
+    "l1-wide": (("l1", 5, 0.5, 1, 20, 64, 3), 50.0),
+    "l1-mixed": (("l1", 5, 1.0, 1, 20, 64, 3), 0.3),
+    "l2-power3": (("l2", 5, 1.0, 3, 20, 16, 3), 1.0),
+    "srp": (("srp", 5, 0.0, 3, 20, 8, 3), 1.0),
+}
+
+
+def small_chunk_case(name: str, monkeypatch, hash_range=None):
+    """(config, points, queries) of a SMALL_CHUNK_CASES case, with the hash
+    cut into 7-row blocks and chunks of at most 40 slots; ``hash_range``
+    replaces the case's slot range."""
+    from racekde import LshConfig, lsh
+
+    fields, scale = SMALL_CHUNK_CASES[name]
+    cfg = LshConfig(*fields)
+    if hash_range is not None:
+        cfg = LshConfig(*fields[:5], hash_range, fields[6])
+    monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 7 * cfg.power * cfg.dim)
+    monkeypatch.setattr(lsh, "_CHUNK_ITEM_ROWS", 40)
+    rng = np.random.default_rng(41)
+    centre = rng.normal(size=cfg.dim)
+    X = centre + scale * rng.normal(size=(23, cfg.dim))
+    Q = centre + scale * rng.normal(size=(9, cfg.dim))
+    return cfg, X, Q

@@ -434,6 +434,27 @@ def test_eval_checks_configs_before_exact_densities(data_dir, monkeypatch, capsy
     assert err.startswith("racekde: error: ") and "range must be" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sizes", "3000,3000", "--methods", "race,race"], "--methods repeats 'race'"),
+        (["--sizes", "3000,2000,3000", "--methods", "race"], "--sizes repeats 3000"),
+        (["--sizes", "3000,03000", "--methods", "rs"], "--sizes repeats 3000"),
+        (["--sizes", "3000", "--methods", "rs, race,rs"], "--methods repeats 'rs'"),
+    ],
+)
+def test_eval_refuses_repeated_entries_before_exact_densities(data_dir, monkeypatch, capsys,
+                                                              flags, message):
+    def never(*args):
+        raise AssertionError("exact_kde ran before the flags were checked")
+
+    monkeypatch.setattr("racekde.cli.exact_kde", never)
+    args = _eval_args(data_dir, "--kind", "l2", "--range", "16", *flags)
+    assert main(args) == 1
+    assert _error_line(capsys) == f"racekde: error: {message}\n"
+    assert not (data_dir / "e.csv").exists()
+
+
 def test_query_reads_at_the_sketch_dimension(data_dir, tmp_path, capsys):
     dense = tmp_path / "s.bin"
     assert main(_sketch_args(data_dir, dense)) == 0

@@ -171,6 +171,16 @@ def test_config_drift_rejected():
         composite_estimate(sketches, model, DataVector.dense(X[0]), 5)
 
 
+def _loaded(**values):
+    """CompositeModel.from_text of a valid model's document with some values
+    replaced."""
+    lines = []
+    for line in _model().to_text().splitlines():
+        key = line.partition(" ")[0]
+        lines.append(f"{key} {values[key]}" if key in values else line)
+    return CompositeModel.from_text("\n".join(lines) + "\n")
+
+
 def _model(**fields):
     base = dict(base=BASE, powers=(1, 2), coefficients=(1.0, 0.5), fit_grid=(0.0,),
                 fit_residual=0.0, ridge=0.0)
@@ -192,6 +202,18 @@ def _model(**fields):
             lambda: CompositeModel.from_text("racekde-composite-model v1\nkind l2\n"),
             "lacks sigma, powers, coefficients, grid, residual, ridge",
         ),
+        # Each message below is unique, so every case keeps its own test id.
+        (lambda: _loaded(powers="", coefficients=""), "powers must be nonempty"),
+        (lambda: _loaded(powers="0", coefficients="1.0"), "^powers must be positive$"),
+        (lambda: _loaded(grid=""), "^grid must be nonempty$"),
+        (lambda: _loaded(grid="0.0 nan"), "grid distances must be finite and nonnegative"),
+        (lambda: _loaded(grid="0.0 -1.0"), "distances must be finite and nonnegative$"),
+        (lambda: _loaded(residual="nan"), "fit_residual must be finite"),
+        (lambda: _loaded(residual="-1.0"), "fit_residual must be finite and >= 0"),
+        (lambda: _loaded(ridge="-3"), "^ridge must be >= 0"),
+        (lambda: _loaded(ridge="inf"), "ridge must be >= 0 and finite"),
+        (lambda: fit_coefficients(np.exp, BASE, [], [0.0, 1.0]), "^powers must be nonempty$"),
+        (lambda: fit_coefficients(np.exp, BASE, [1], [0.0, np.inf]), "finite"),
     ],
 )
 def test_composite_validation(build, message):

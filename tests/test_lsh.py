@@ -29,6 +29,8 @@ from racekde.lsh import (
 from racekde.sketch import RaceSketch
 from racekde.vectors import DataVector, DimensionMismatchError
 
+from helpers import SMALL_CHUNK_CASES, small_chunk_case
+
 
 def srp_cfg(dim=8, power=2, rows=10, seed=1):
     return LshConfig("srp", dim, 0.0, power, rows, 2**power, seed)
@@ -543,8 +545,8 @@ def test_chunked_matrix_paths_match_per_point(kind, mode, storage):
     with cache_mode(mode), pytest.MonkeyPatch.context() as mp:
         mp.setattr(lsh, "_CHUNK_ITEM_ROWS", 3 * lsh._row_block_size(cfg, cfg.dim))
         blocks = [(r0, n0) for r0, _r1, n0, _slots in lsh.slot_blocks(cfg, X)]
-        assert {n0 for _r0, n0 in blocks} == {0, 3, 6, 9}
-        assert len({r0 for r0, _n0 in blocks}) == (1 if mode == "cached" else 7)
+        assert {n0 for _r0, n0 in blocks} == ({0, 7} if mode == "cached" else {0, 3, 6, 9})
+        assert len({r0 for r0, _n0 in blocks}) == (3 if mode == "cached" else 7)
         assert (cfg in lsh._CACHE) == (mode != "streamed")
 
         want = np.array([hash_all(cfg, DataVector.dense(x)) for x in X])
@@ -558,18 +560,82 @@ def test_chunked_matrix_paths_match_per_point(kind, mode, storage):
         assert np.array_equal(bulk.raw_query_matrix(Q), want_counters)
 
 
+def _fold_calls(monkeypatch):
+    """The (path, rows) of every table and mixer fold from now on."""
+    calls = []
+    for name in ("_table_fold", "_mix_fold"):
+        def spy(codes, *args, _real=getattr(lsh, name), _name=name):
+            calls.append((_name, codes.shape[1]))
+            return _real(codes, *args)
+
+        monkeypatch.setattr(lsh, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(SMALL_CHUNK_CASES))
+def test_small_chunks_match_per_point_hashes(case, monkeypatch):
+    """hash_matrix over ragged chunks of a few points and rows, through the
+    table fold, the mixer, or both in one chunk, equals hash_all of each
+    point."""
+    cfg, X, _Q = small_chunk_case(case, monkeypatch)
+    layout = {(r0, r1) for r0, r1, _n0, _s in lsh.slot_blocks(cfg, X)}
+    assert len(layout) > 3 and max(r1 - r0 for r0, r1 in layout) < 7
+    calls = _fold_calls(monkeypatch)
+    got = hash_matrix(cfg, X)
+    bulk = list(calls)
+    want = np.array([hash_all(cfg, DataVector.dense(x)) for x in X])
+    assert np.array_equal(got, want)
+    paths = {
+        "l2-table": {"_table_fold"},
+        "l1-wide": {"_mix_fold"},
+        "l1-mixed": {"_table_fold", "_mix_fold"},
+        "l2-power3": {"_mix_fold"},
+        "srp": set(),
+    }[case]
+    assert {path for path, _rows in bulk} == paths
+    # A mixed chunk mixes its wide rows, then tables all of its rows.
+    mixed = [a[0] == "_mix_fold" and b[0] == "_table_fold" and a[1] < b[1]
+             for a, b in zip(bulk, bulk[1:])]
+    assert any(mixed) == (case == "l1-mixed")
+
+
+def test_table_fold_matches_the_mixer_at_extreme_codes(monkeypatch):
+    """Codes anywhere in int64 fold by table as by the mixer. The span is
+    computed without wrapping: a row holding both ends of int64 spans
+    2**64 - 1 values, not -1, and is mixed."""
+    top, bottom = np.iinfo(np.int64).max, np.iinfo(np.int64).min
+    k = np.arange(8) % 4
+    codes = np.stack([top - k, bottom + k, k - 2, np.where(k % 2, top, bottom)], axis=1)
+    codes = codes.astype(np.int64)[:, :, None]
+    keys = _fold_keys(5, 0, 4)
+    want = lsh._mix_fold(codes, keys, 1000)
+    calls = _fold_calls(monkeypatch)
+    for rows in ([0, 1, 2], [0, 1, 2, 3], [3]):
+        assert np.array_equal(_fold(codes[:, rows].copy(), keys[rows], 1000), want[:, rows])
+    assert calls == [("_table_fold", 3), ("_mix_fold", 1), ("_table_fold", 4), ("_mix_fold", 1)]
+
+
 def test_point_chunks_bound_slots_and_projections():
-    """A point chunk holds at most _CHUNK_ITEM_ROWS slots and twice that many
-    projections, so at power 4 it holds half the points it holds at power 2."""
+    """A chunk holds at most _CHUNK_ITEM_ROWS slots and twice that many
+    projections, so at power 4 it holds about half the slots it holds at
+    power 2."""
     X = np.random.default_rng(23).normal(size=(11, 16))
-    for power, starts in ((2, [0, 6]), (4, [0, 3, 6, 9])):
+    for power, layout in (
+        (2, [(0, 12, 0), (0, 12, 10), (12, 20, 0), (12, 20, 10)]),
+        (4, [(0, 8, 0), (0, 8, 7), (8, 16, 0), (8, 16, 7), (16, 20, 0), (16, 20, 7)]),
+    ):
         cfg = LshConfig("l2", 16, 0.8, power, 20, 32, 3)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lsh, "_CHUNK_ITEM_ROWS", 6 * cfg.rows)
             blocks = list(lsh.slot_blocks(cfg, X))
-        assert [(r0, r1, n0) for r0, r1, n0, _slots in blocks] == [(0, 20, n0) for n0 in starts]
+        assert [(r0, r1, n0) for r0, r1, n0, _slots in blocks] == layout
+        assert all(0 < s.size <= 6 * cfg.rows and s.size * power <= 12 * cfg.rows
+                   for *_, s in blocks)
         want = [hash_all(cfg, DataVector.dense(x)) for x in X]
-        assert np.array_equal(np.concatenate([slots for *_, slots in blocks]), want)
+        got = np.empty((11, cfg.rows), dtype=np.uint64)
+        for r0, r1, n0, slots in blocks:
+            got[n0 : n0 + slots.shape[0], r0:r1] = slots
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,16 @@ from racekde.sketch import (
 )
 from racekde.vectors import DataVector, DimensionMismatchError, NonFiniteInputError
 
-from helpers import TARGET_KINDS, as_target, crafted_file, with_field, with_items, with_sigma
+from helpers import (
+    SMALL_CHUNK_CASES,
+    TARGET_KINDS,
+    as_target,
+    crafted_file,
+    small_chunk_case,
+    with_field,
+    with_items,
+    with_sigma,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -491,6 +501,54 @@ def test_serialize_returns_the_size_written(tmp_path):
 
 
 @pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize(
+    "case, hash_range",
+    [(case, R) for case in sorted(SMALL_CHUNK_CASES)
+     for R in ((None,) if case == "srp" else (None, 4, 100_000))],  # srp's range is 2**power
+)
+def test_small_chunks_match_per_point_updates(case, hash_range, storage, monkeypatch):
+    """add_matrix, remove_matrix and raw_query_matrix over ragged chunks of
+    a few points and rows equal add, remove and raw_query point by point,
+    in either store, with the tally counting by bincount (range 4, below a
+    chunk's points) or by unique keys (every other range)."""
+    cfg, X, Q = small_chunk_case(case, monkeypatch, hash_range)
+    bulk, loop = RaceSketch(cfg, storage), RaceSketch(cfg, storage)
+    bulk.add_matrix(X)
+    for x in X:
+        loop.add(DataVector.dense(x))
+    assert bulk == loop and bulk.to_bytes() == loop.to_bytes()
+    want = [loop.raw_query(DataVector.dense(q)) for q in Q]
+    assert np.array_equal(bulk.raw_query_matrix(Q), want)
+    bulk.remove_matrix(X[::2])
+    for x in X[::2]:
+        loop.remove(DataVector.dense(x))
+    assert bulk.to_bytes() == loop.to_bytes()
+
+
+def test_bulk_add_memory_does_not_grow_with_the_points():
+    """A warm add_matrix peaks at the same traced allocation for 250 and for
+    4000 points: at most four chunk-sized buffers (the projections, reused
+    for the codes, the table positions, the slots and the chunk before's
+    slots) plus two counter tallies of a chunk."""
+    cfg = LshConfig("l2", 32, 2.0, 1, 2000, 64, 7)
+    X = np.random.default_rng(43).normal(size=(4000, 32))
+    RaceSketch(cfg).add_matrix(X[:10])  # fills the projection cache
+    peaks = []
+    for n in (250, 4000):
+        s = RaceSketch(cfg)
+        tracemalloc.start()
+        try:
+            s.add_matrix(X[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    chunk = 8 * lsh._CHUNK_ITEM_ROWS
+    points, rows = lsh._chunk_shape(cfg, 4000, cfg.rows, cfg.dim)
+    assert max(peaks) <= 4 * chunk + 2 * 8 * rows * cfg.hash_range
+    assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
 def test_failed_bulk_updates_leave_the_sketch_unchanged(storage, monkeypatch):
     """add_matrix and remove_matrix that fail in a later point chunk undo
     the chunks applied before it."""
@@ -500,8 +558,8 @@ def test_failed_bulk_updates_leave_the_sketch_unchanged(storage, monkeypatch):
     s.add_matrix(X[:8])
     before = s.to_bytes()
     monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 7 * cfg.dim)  # 7-row blocks
-    monkeypatch.setattr(lsh, "_CHUNK_ITEM_ROWS", 2 * 7)  # 2-point chunks
-    assert [n0 for r0, _r1, n0, _ in lsh.slot_blocks(cfg, X) if r0 == 0] == [0, 2, 4, 6, 8]
+    monkeypatch.setattr(lsh, "_CHUNK_ITEM_ROWS", 2 * 7)  # 3-point chunks
+    assert [n0 for r0, _r1, n0, _ in lsh.slot_blocks(cfg, X) if r0 == 0] == [0, 3, 6]
     huge = X.copy()
     huge[7] = 1e30  # its codes pass 2**63
     with pytest.raises(OverflowError, match="hash code exceeds 64 bits"):

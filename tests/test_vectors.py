@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from racekde.vectors import (
     DimensionMismatchError,
     NonFiniteInputError,
     angle,
+    check_finite,
     dot,
     l1_distance,
     l2_distance,
@@ -132,6 +134,24 @@ def test_non_finite_values_rejected(bad):
         DataVector.dense([1.0, bad])
     with pytest.raises(NonFiniteInputError):
         DataVector.sparse(4, [0, 2], [1.0, bad])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_finite_check_of_a_matrix_allocates_nothing_of_its_size(bad):
+    X = np.ones((400, 1000))
+    tracemalloc.start()
+    try:
+        check_finite(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
+    for at in ((0, 0), (399, 999), (123, 456)):
+        Y = X.copy()
+        Y[at] = bad
+        with pytest.raises(NonFiniteInputError):
+            check_finite(Y)
+    check_finite(np.zeros((0, 3)))
 
 
 def test_dot_dense_sparse():
