@@ -20,19 +20,19 @@ asks for every column, which puts them in dimension order once; the cached
 columns are then the whole projection matrix W. Only configs whose
 rows * power * dim fits a 4e6-component cap are cached, and the same cap
 bounds the cache's total, evicting the least recently used config; larger
-configs generate row blocks on every call. scipy, slow to import, is loaded
-only to draw srp/l2 projections.
+configs generate the projections of each row chunk on every call. scipy,
+slow to import, is loaded only to draw srp/l2 projections.
 
-Every hash runs one block loop, :func:`slot_blocks`: row blocks outside,
-so an uncached config generates each block once, and chunks inside.
-A row block holds as many rows as keep its power * width projection
-components (width is dim, or a sparse input's nnz) within the 4e6 cap, and
-never fewer than one row. A chunk is up to a few hundred points by as many
-of the block's rows as keep it within 65,536 slots (0.5 MiB of float64)
-and twice that many projections; for inputs wider than a few hundred
-dimensions, each side spans at least the width, so the matmul stays
-efficient. Every temporary of a hash step is chunk-sized, so none grows
-with the number of points in the call.
+Every hash runs one chunk loop, :func:`slot_blocks`: row chunks outside,
+each fetching its projections, offsets and fold keys once (generating them
+when the config is not cached), and point chunks inside. A chunk is up to
+a few hundred points by as many rows as keep it within 65,536 slots
+(0.5 MiB of float64) and twice that many projections, and never more rows
+than keep their power * width projection components (width is dim, or a
+sparse input's nnz) within the 4e6 cap, nor fewer than one; for inputs
+wider than a few hundred dimensions, each side spans at least the width,
+so the matmul stays efficient. Every temporary of a hash step is
+chunk-sized, so none grows with the number of points in the call.
 
 The p-stable code tuples have unbounded range and are folded to a finite
 slot range with a seeded universal-style hash ("rehashing"). The variant
@@ -57,7 +57,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .vectors import DataVector, DimensionMismatchError, check_finite
+from .vectors import DataVector, DimensionMismatchError, as_real, check_finite
 
 __all__ = [
     "Family",
@@ -190,7 +190,7 @@ class LshConfig:
                 )
         else:
             if self.hash_range < 2:
-                raise ValueError("rehash range must be >= 2")
+                raise ValueError("hash_range must be >= 2 for l2/l1")
             if not self.sigma > 0:
                 raise ValueError("sigma must be positive for l2/l1")
         if not 0 <= self.seed <= _U64_MASK:
@@ -327,11 +327,21 @@ def rehash(code: Sequence[int], row: int, hash_range: int, seed: int) -> int:
 
     Equal tuples in the same row always map to the same slot; distinct
     tuples collide with probability ~1/hash_range.
+
+    The arguments go through ``operator.index``, so a code entry, row,
+    range or seed that is not an integer raises TypeError. The slot is that
+    of row ``row`` of an l2 config of power len(code), so an empty code, and
+    a row, range or seed outside :class:`LshConfig`'s limits, raise
+    ValueError.
     """
-    if hash_range < 2:
-        raise ValueError("hash_range must be >= 2")
-    arr = np.array(code, dtype=np.int64).reshape(1, 1, -1)
-    return int(_fold(arr, _fold_keys(seed, row, row + 1), hash_range)[0, 0])
+    code = np.array([operator.index(c) for c in code], dtype=np.int64).reshape(1, 1, -1)
+    if code.size == 0:
+        raise ValueError("code must hold at least one entry")
+    if not 0 <= row < 2**32 - 1:
+        raise ValueError("row must lie in [0, 2**32 - 1)")
+    # The config whose last row is ``row`` checks the range and the seed.
+    cfg = LshConfig(Family.L2, 1, 1.0, code.size, row + 1, hash_range, seed)
+    return int(_fold(code, _fold_keys(cfg.seed, row, row + 1), cfg.hash_range)[0, 0])
 
 
 def _to_slots(
@@ -371,8 +381,8 @@ def _to_slots(
     return _fold(codes, keys, cfg.hash_range)
 
 
-# Projection components held at once: the cap on a generated row block and
-# on the total size of the projection cache.
+# Projection components held at once: the cap on the rows of a chunk and on
+# the total size of the projection cache.
 _MAX_COMPONENTS = 4_000_000
 # Slots of a chunk, the unit of every hash step, and half its projections
 # (wide inputs aside, see _chunk_shape); 64k float64 slots are 0.5 MiB.
@@ -518,28 +528,23 @@ def slots_for_block(
 
 
 def _row_block_size(cfg: LshConfig, width: int) -> int:
-    """Rows per block: as many as fit the projection cap at this width (dim,
-    or a sparse input's nnz), at least one."""
+    """The most rows of a chunk or of a hash_blocks block: as many as fit
+    the projection cap at this width (dim, or a sparse input's nnz), at
+    least one."""
     return max(1, min(cfg.rows, _MAX_COMPONENTS // (cfg.power * max(width, 1))))
 
 
-def _blocks(cfg: LshConfig, dims: Optional[np.ndarray] = None) -> Iterator[Tuple]:
-    """Yield (row_start, row_stop, W, b, fold keys) blocks covering all rows,
-    W on the input dimensions ``dims`` (every dimension when None)."""
-    step = _row_block_size(cfg, cfg.dim if dims is None else dims.size)
-    for r0 in range(0, cfg.rows, step):
-        r1 = min(cfg.rows, r0 + step)
-        yield (r0, r1) + _state(cfg, r0, r1, dims)
-
-
 def hash_blocks(cfg: LshConfig) -> Iterator[Tuple[int, int, np.ndarray, Optional[np.ndarray]]]:
-    """Yield (row_start, row_stop, W, b) blocks covering all rows.
+    """Yield (row_start, row_stop, W, b) blocks covering all rows, each as
+    many rows as fit the projection cap.
 
     The arrays are read-only when they come from the config's cached
     projections.
     """
-    for r0, r1, W, b, _keys in _blocks(cfg):
-        yield r0, r1, W, b
+    step = _row_block_size(cfg, cfg.dim)
+    for r0 in range(0, cfg.rows, step):
+        r1 = min(cfg.rows, r0 + step)
+        yield (r0, r1) + _state(cfg, r0, r1)[:2]
 
 
 def _aligned(k: int) -> int:
@@ -547,20 +552,21 @@ def _aligned(k: int) -> int:
     return k - k % 64 if k >= 64 else k
 
 
-def _chunk_shape(cfg: LshConfig, n: int, step: int, width: int) -> Tuple[int, int]:
-    """(points, rows) of the chunks of n points on row blocks of step rows,
-    for inputs of the given width (dim, or a sparse input's nnz).
+def _chunk_shape(cfg: LshConfig, n: int, width: int) -> Tuple[int, int]:
+    """(points, rows) of the chunks of n points, for inputs of the given
+    width (dim, or a sparse input's nnz).
 
     A chunk holds at most ``_CHUNK_ITEM_ROWS`` slots and twice that many
     projections: about the square root of that many points (more when the
-    row block is too narrow to fill it) times as many rows as fit. A side
-    shorter than the whole is a multiple of 64: BLAS then tiles most chunks
-    as it tiles the unchunked product X @ W.T, so their projections match
-    that product bit for bit. Each side also spans at least the width,
-    rounded down to a multiple of 64, so the matmul packs at most two input
-    values per slot; a chunk of wide inputs can thus pass the bound above,
-    though never its row block's projections.
+    rows that fit the projection cap are too few to fill it) times as many
+    rows as fit. A side shorter than the whole is a multiple of 64: BLAS
+    then tiles most chunks as it tiles the unchunked product X @ W.T, so
+    their projections match that product bit for bit. Each side also spans
+    at least the width, rounded down to a multiple of 64, so the matmul
+    packs at most two input values per slot; a chunk of wide inputs can thus
+    pass the bound above, though never the projection cap.
     """
+    step = _row_block_size(cfg, width)
     cells = max(1, min(_CHUNK_ITEM_ROWS, 2 * _CHUNK_ITEM_ROWS // cfg.power))
     side = width - width % 64
     points = max(1, min(n, max(_aligned(math.isqrt(cells)), _aligned(cells // step), side)))
@@ -573,23 +579,23 @@ def slot_blocks(
     """Yield (row_start, row_stop, point_start, slots): the uint64 slots
     on rows [row_start, row_stop) of a chunk of points of the checked
     float64 matrix X, from point_start on. X's columns are the input
-    dimensions ``dims`` (every dimension when None). Each row block is
-    generated once and cut into chunks of :func:`_chunk_shape`."""
-    n, p, width = X.shape[0], cfg.power, X.shape[1]
-    points, rows = _chunk_shape(cfg, n, _row_block_size(cfg, width), width)
-    for r0, r1, W, b, keys in _blocks(cfg, dims):
-        for s0 in range(r0, r1, rows):
-            i, j = s0 - r0, min(r1, s0 + rows) - r0
-            Ws = W[i * p : j * p]
-            bs, ks = (None, None) if b is None else (b[i * p : j * p], keys[i:j])
-            for n0 in range(0, n, points):
-                yield s0, r0 + j, n0, slots_for_block(cfg, X[n0 : n0 + points], Ws, bs, s0, ks)
+    dimensions ``dims`` (every dimension when None). Chunks have the shape
+    of :func:`_chunk_shape`: the outer loop walks row chunks, each fetching
+    its own projections, the inner loop walks point chunks."""
+    n, width = X.shape
+    points, rows = _chunk_shape(cfg, n, width)
+    for r0 in range(0, cfg.rows, rows):
+        r1 = min(cfg.rows, r0 + rows)
+        W, b, keys = _state(cfg, r0, r1, dims)
+        for n0 in range(0, n, points):
+            yield r0, r1, n0, slots_for_block(cfg, X[n0 : n0 + points], W, b, r0, keys)
 
 
 def check_points(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
     """X as a float64 matrix of finite points of cfg's dimension, one per
-    row; raises DimensionMismatchError or NonFiniteInputError otherwise."""
-    X = np.asarray(X, dtype=np.float64)
+    row; raises TypeError for complex X, DimensionMismatchError or
+    NonFiniteInputError otherwise."""
+    X = as_real(X)
     if X.ndim != 2 or X.shape[1] != cfg.dim:
         raise DimensionMismatchError(
             f"expected points of dimension {cfg.dim}, got shape {X.shape}"
@@ -632,7 +638,7 @@ def _row_codes(cfg: LshConfig, x: DataVector, row: int) -> np.ndarray:
     if not 0 <= row < cfg.rows:
         raise IndexError("row out of range")
     W, b, _ = _state(cfg, row, row + 1, x.indices)
-    return _to_slots(cfg, x.values[None, :] @ W.T, b, None)[0, 0]
+    return slots_for_block(cfg, x.values[None, :], W, b, row, None)[0, 0]
 
 
 def srp_hash(cfg: LshConfig, x: DataVector, row: int) -> int:

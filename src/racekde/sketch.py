@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 import struct
 import zlib
 from dataclasses import dataclass
@@ -312,12 +313,13 @@ class RaceSketch:
         density; it can be slightly negative for tiny densities and is
         returned as-is (see ``clamped_value``).
         """
-        counters = self.raw_query(q)
         L = self.config.rows
+        groups = operator.index(groups)
         if groups < 1 or groups > L:
             raise ValueError(f"groups must lie in [1, {L}], got {groups}")
         if groups % 2 == 0:
             raise ValueError("groups must be odd so the median is a group mean")
+        counters = self.raw_query(q)
         size = L // groups
         used = counters[: groups * size].astype(np.float64).reshape(groups, size)
         means = used.mean(axis=1) / self.items

@@ -21,6 +21,15 @@ class NonFiniteInputError(ValueError):
     """Raised when an input vector or point matrix holds NaN or an infinity."""
 
 
+def as_real(values) -> np.ndarray:
+    """values as a float64 array; raises TypeError for complex input, which
+    the float64 conversion would cut to its real part with only a warning."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise TypeError("input holds complex values; only real input is supported")
+    return values.astype(np.float64, copy=False)
+
+
 def check_finite(values: np.ndarray) -> None:
     """Raise NonFiniteInputError unless every entry of values is finite.
 
@@ -44,7 +53,7 @@ class DataVector:
         dim = int(dim)
         if dim <= 0:
             raise ValueError(f"dimension must be positive, got {dim}")
-        values = np.asarray(values, dtype=np.float64)
+        values = as_real(values)
         if values.ndim != 1:
             raise ValueError("values must be one-dimensional")
         check_finite(values)
@@ -73,7 +82,7 @@ class DataVector:
 
     @classmethod
     def dense(cls, values) -> "DataVector":
-        values = np.asarray(values, dtype=np.float64)
+        values = as_real(values)
         return cls(values.shape[0], values)
 
     @classmethod

@@ -146,6 +146,34 @@ def test_pstable_collision_matches_kernel():
 def test_rehash_contract():
     assert rehash((3, -5), 2, 8, 1) == rehash((3, -5), 2, 8, 1)
     assert 0 <= rehash((123,), 0, 7, 9) < 7
+    assert rehash(np.array([3, -5]), np.int64(2), np.uint64(8), np.int32(1)) == rehash(
+        (3, -5), 2, 8, 1)
+    assert 0 <= rehash((7,), 2**32 - 2, 2**32, 2**64 - 1) < 2**32
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (([1.7], 0, 16, 0), TypeError, "integer"),
+        ((np.array([1.5]), 0, 16, 0), TypeError, "integer"),
+        (([1], 1.0, 16, 0), TypeError, "integer"),
+        (([1], 0, 16.0, 0), TypeError, "integer"),
+        (([1], 0, 16, 0.0), TypeError, "integer"),
+        (([], 0, 16, 0), ValueError, "at least one entry"),
+        (([1], -1, 16, 0), ValueError, "row must lie"),
+        (([1], 2**32 - 1, 16, 0), ValueError, "row must lie"),
+        (([1], 0, 2**64, 0), ValueError, "hash_range must be below"),
+        (([1], 2**32 - 2, 2**40, 0), ValueError, "flat-key space"),
+        (([1], 0, 16, -1), ValueError, "seed must lie"),
+        (([1], 0, 16, 2**64), ValueError, "seed must lie"),
+    ],
+)
+def test_rehash_refuses_what_no_config_hashes(args, error, message):
+    """rehash takes the integers LshConfig takes: a float is not truncated,
+    an empty code has no slot, and a row, range or seed past a config's
+    limits is refused, not masked or left to numpy's OverflowError."""
+    with pytest.raises(error, match=message):
+        rehash(*args)
 
 
 def test_rehash_uniformity():
@@ -558,6 +586,46 @@ def test_chunked_matrix_paths_match_per_point(kind, mode, storage):
         assert bulk == loop and bulk.to_bytes() == loop.to_bytes()
         want_counters = [loop.raw_query(DataVector.dense(q)) for q in Q]
         assert np.array_equal(bulk.raw_query_matrix(Q), want_counters)
+
+
+@pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
+def test_row_chunks_cross_cap_sized_row_blocks(kind, monkeypatch):
+    """With 7 rows under the projection cap and chunks of 3 points by 3
+    rows, the chunk of rows 6 to 9 crosses the 7-row bound. hash_matrix,
+    add_matrix and raw_query_matrix still equal the per-point hash_all, add
+    and raw_query (whose one-point chunks span 7 rows), and no chunk
+    generates or holds more projections than the cap."""
+    cfg = kind_cfg(kind)
+    rng = np.random.default_rng(47)
+    X, Q = rng.normal(size=(8, 16)), rng.normal(size=(5, 16))
+    cap = 7 * cfg.power * cfg.dim
+    monkeypatch.setattr(lsh, "_MAX_COMPONENTS", cap)
+    monkeypatch.setattr(lsh, "_CHUNK_ITEM_ROWS", 9)
+    generated = []
+
+    def spy(*args, _real=lsh.projection_block):
+        generated.append(_real(*args))
+        return generated[-1]
+
+    monkeypatch.setattr(lsh, "projection_block", spy)
+    chunks = list(lsh.slot_blocks(cfg, X))
+    assert {(r0, r1) for r0, r1, _n0, _s in chunks} == {
+        (r0, min(r0 + 3, cfg.rows)) for r0 in range(0, cfg.rows, 3)
+    }
+    assert {n0 for _r0, _r1, n0, _s in chunks} == {0, 3, 6}
+    assert all(s.shape[1] * cfg.power * cfg.dim <= cap for *_, s in chunks)
+
+    want = np.array([hash_all(cfg, DataVector.dense(x)) for x in X])
+    assert np.array_equal(hash_matrix(cfg, X), want)
+    bulk, loop = RaceSketch(cfg), RaceSketch(cfg)
+    bulk.add_matrix(X)
+    for x in X:
+        loop.add(DataVector.dense(x))
+    assert bulk.to_bytes() == loop.to_bytes()
+    want_counters = [loop.raw_query(DataVector.dense(q)) for q in Q]
+    assert np.array_equal(bulk.raw_query_matrix(Q), want_counters)
+    assert generated and max(W.size for W in generated) <= cap
+    assert cfg not in lsh._CACHE
 
 
 def _fold_calls(monkeypatch):

@@ -205,6 +205,13 @@ def test_estimate_group_validation():
         s.estimate_finite(q, groups=11)  # > rows
     with pytest.raises(ValueError):
         RaceSketch(l2_cfg()).estimate_finite(q)  # wrong family
+    assert s.estimate(q, groups=np.int64(3)).groups == 3
+    wrong_dim = DataVector.dense(np.ones(7))  # the groups are checked before q is hashed
+    for groups in (1.0, "3", None):
+        with pytest.raises(TypeError):
+            s.estimate(wrong_dim, groups=groups)
+    with pytest.raises(ValueError, match="groups must be odd"):
+        s.estimate(wrong_dim, groups=2)
 
 
 def test_rehashed_debias_points():
@@ -466,6 +473,21 @@ def test_non_finite_matrices_rejected_unchanged(storage, bad):
     assert s.to_bytes() == before
 
 
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_complex_matrices_rejected_unchanged(storage):
+    cfg = l2_cfg(rows=10)
+    s = RaceSketch(cfg, storage)
+    X = RNG.normal(size=(5, 6))
+    s.add_matrix(X)
+    before = s.to_bytes()
+    for Y in (X.astype(complex), X + 1j * X):
+        for call in (s.add_matrix, s.remove_matrix, s.raw_query_matrix,
+                     lambda M: hash_matrix(cfg, M)):
+            with pytest.raises(TypeError, match="complex"):
+                call(Y)
+    assert s.to_bytes() == before
+
+
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("kind", ["srp", "l2"])
 def test_non_finite_header_sigma_is_format_error(kind, sigma):
@@ -543,7 +565,7 @@ def test_bulk_add_memory_does_not_grow_with_the_points():
         finally:
             tracemalloc.stop()
     chunk = 8 * lsh._CHUNK_ITEM_ROWS
-    points, rows = lsh._chunk_shape(cfg, 4000, cfg.rows, cfg.dim)
+    points, rows = lsh._chunk_shape(cfg, 4000, cfg.dim)
     assert max(peaks) <= 4 * chunk + 2 * 8 * rows * cfg.hash_range
     assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
 

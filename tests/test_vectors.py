@@ -136,6 +136,17 @@ def test_non_finite_values_rejected(bad):
         DataVector.sparse(4, [0, 2], [1.0, bad])
 
 
+def test_complex_values_rejected():
+    """A float64 conversion would keep only the real part, with a warning."""
+    for values in ([1 + 2j, 3.0], np.array([1.0, 3.0], dtype=complex)):
+        with pytest.raises(TypeError, match="complex"):
+            DataVector.dense(values)
+        with pytest.raises(TypeError, match="complex"):
+            DataVector.sparse(4, [0, 2], values)
+        with pytest.raises(TypeError, match="complex"):
+            DataVector(2, values)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_finite_check_of_a_matrix_allocates_nothing_of_its_size(bad):
     X = np.ones((400, 1000))
