@@ -16,11 +16,13 @@ returns one of these two forms.
   sqrt(nnz * rows) entries, so add and remove cost O(rows + sqrt(nnz * rows))
   amortized rather than O(nnz). Everything O(nnz) reads the folded view.
 
-Adding raises OverflowError when a counter would exceed 64 bits, and
-subtracting raises UnmatchedDeletionError when one would drop below 0;
-either leaves the store unchanged. Each store also writes and reads its
-row payloads of the sketch file (see ``racekde.sketch``) and checks that
-every row of a loaded payload sums to the header's item count.
+Callers keep every counter below 2**64, so adding sums without a 64-bit
+check; ``RaceSketch`` does so through its item count, which every row sums
+to and which it keeps below 2**64. Subtracting raises
+UnmatchedDeletionError when a counter would drop below 0, and leaves the
+store unchanged. Each store also writes and reads its row payloads of the
+sketch file (see ``racekde.sketch``) and checks that every row of a loaded
+payload sums to the header's item count.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 
-_U64_MAX = 2**64 - 1
 _LO32 = np.uint64(0xFFFFFFFF)
 _NO_ENTRIES = np.zeros(0, dtype=np.uint64)
 _ROW_HEADER = struct.Struct("<Q")
@@ -62,18 +63,6 @@ def tally(local: np.ndarray, first: int, span: int):
         return slice(first, first + span), counts.astype(np.uint64)
     keys, counts = np.unique(local, return_counts=True)
     return keys + np.uint64(first), counts.astype(np.uint64)
-
-
-def _top(counts: np.ndarray) -> int:
-    return int(np.maximum.reduce(counts, axis=None)) if counts.size else 0
-
-
-def _checked_sum(cur: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """cur + counts, raising OverflowError where a uint64 sum wraps."""
-    out = cur + counts
-    if np.count_nonzero(out < counts):
-        raise OverflowError("counter exceeds 64 bits")
-    return out
 
 
 def _lookup(keys: np.ndarray, vals: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -130,26 +119,17 @@ def _pair_dtype(width: int) -> np.dtype:
 
 class DenseStore:
     """Every counter of the grid in one (rows, R) uint64 array, ``counts``.
-
-    ``peak`` bounds every counter from above, so adds check each sum for a
-    64-bit wrap only when one could occur; handing ``counts`` out drops the
-    bound, since the caller may write into the array."""
+    The caller keeps every counter below 2**64 (see the module docstring)."""
 
     name, code = "dense", 0
 
-    def __init__(self, rows: int, R: int, counts: Optional[np.ndarray] = None, peak: int = 0):
+    def __init__(self, rows: int, R: int, counts: Optional[np.ndarray] = None):
         self.rows, self.R = rows, R
-        self._counts = np.zeros((rows, R), dtype=np.uint64) if counts is None else counts
-        self.peak = peak
-
-    @property
-    def counts(self) -> np.ndarray:
-        self.peak = _U64_MAX
-        return self._counts
+        self.counts = np.zeros((rows, R), dtype=np.uint64) if counts is None else counts
 
     def _at(self, keys):
         # Dense flat keys fit int64, by which numpy indexes without a cast.
-        return self._counts.reshape(-1), keys if isinstance(keys, slice) else keys.view(np.int64)
+        return self.counts.reshape(-1), keys if isinstance(keys, slice) else keys.view(np.int64)
 
     def gather(self, keys) -> np.ndarray:
         flat, idx = self._at(keys)
@@ -157,12 +137,7 @@ class DenseStore:
 
     def add(self, keys, counts) -> None:
         flat, idx = self._at(keys)
-        top = _top(counts)
-        if self.peak + top > _U64_MAX:
-            flat[idx] = _checked_sum(flat[idx], counts)
-        else:
-            flat[idx] += counts
-        self.peak += top
+        flat[idx] += counts
 
     def subtract(self, keys, counts) -> None:
         flat, idx = self._at(keys)
@@ -172,23 +147,21 @@ class DenseStore:
         flat[idx] = cur - counts
 
     def counters(self):
-        return slice(0, self._counts.size), self._counts.reshape(-1)
+        return slice(0, self.counts.size), self.counts.reshape(-1)
 
     def merged(self, other) -> "DenseStore":
-        theirs, peak = other.dense(), self.peak + other.peak
-        total = _checked_sum(self._counts, theirs) if peak > _U64_MAX else self._counts + theirs
-        return DenseStore(self.rows, self.R, total, peak)
+        return DenseStore(self.rows, self.R, self.counts + other.dense())
 
     def dense(self) -> np.ndarray:
-        view = self._counts.view()
+        view = self.counts.view()
         view.flags.writeable = False
         return view
 
     def rows_sum_to(self, items: int, width: int) -> bool:
-        return _sums_equal(lambda v: np.einsum("ij->i", v), self._counts, items, width)
+        return _sums_equal(lambda v: np.einsum("ij->i", v), self.counts, items, width)
 
     def payload(self, width: int) -> bytes:
-        return self._counts.astype(f"<u{width}").tobytes()
+        return self.counts.astype(f"<u{width}").tobytes()
 
     @classmethod
     def load(cls, data, offset: int, end: int, rows: int, R: int, width: int):
@@ -196,7 +169,7 @@ class DenseStore:
         if end - offset != width * rows * R:
             raise SketchFormatError("truncated or oversized dense payload")
         counts = np.frombuffer(data, dtype=f"<u{width}", count=rows * R, offset=offset)
-        return cls(rows, R, counts.reshape(rows, R).astype(np.uint64), (1 << 8 * width) - 1)
+        return cls(rows, R, counts.reshape(rows, R).astype(np.uint64))
 
 
 class SparseStore:
@@ -204,16 +177,14 @@ class SparseStore:
     ``vals``, and a delta ``dkeys``/``dvals`` of staged updates with signed
     counts held modulo 2**64. Arrays are replaced, never written in place,
     so stores may share them, and reads fold the delta into a view without
-    storing it, so they never change the store. ``peak`` bounds every
-    counter from above, so ``add`` looks counters up only when one could
-    pass 64 bits."""
+    storing it, so they never change the store. The caller keeps every
+    counter below 2**64 (see the module docstring)."""
 
     name, code = "sparse", 1
 
     def __init__(self, rows: int, R: int):
         self.rows, self.R = rows, R
         self.keys = self.vals = self.dkeys = self.dvals = _NO_ENTRIES
-        self.peak = 0
 
     def gather(self, keys: np.ndarray) -> np.ndarray:
         out = _lookup(self.keys, self.vals, keys)
@@ -222,12 +193,7 @@ class SparseStore:
         return out
 
     def add(self, keys, counts) -> None:
-        keys, counts = nonzero(keys, counts)
-        top = _top(counts)
-        if self.peak + top > _U64_MAX:
-            _checked_sum(self.gather(keys), counts)
-        self._update(keys, counts)
-        self.peak += top
+        self._update(*nonzero(keys, counts))
 
     def subtract(self, keys, counts) -> None:
         keys, counts = nonzero(keys, counts)
@@ -248,7 +214,6 @@ class SparseStore:
     def merged(self, other) -> "SparseStore":
         out = SparseStore(self.rows, self.R)
         out.keys, out.vals = self.counters()
-        out.peak = self.peak
         out.add(*other.counters())
         return out
 
@@ -315,7 +280,6 @@ class SparseStore:
         store.keys, store.vals = keys, entries["count"].astype(np.uint64)
         if not store.vals.all():
             raise SketchFormatError("sparse entry with a zero count")
-        store.peak = (1 << 8 * width) - 1
         return store
 
 

@@ -189,6 +189,6 @@ def mc_collision(
     else:
         hits = np.empty(trials, dtype=bool)
         for r0, r1, W, b in hash_blocks(mc_cfg):
-            codes = slots_for_block(mc_cfg, X, W, b, r0, None)
+            codes = slots_for_block(mc_cfg, X, W, b, None)
             hits[r0:r1] = np.all(codes[0] == codes[1], axis=-1)
     return float(np.mean(hits))

@@ -344,43 +344,6 @@ def rehash(code: Sequence[int], row: int, hash_range: int, seed: int) -> int:
     return int(_fold(code, _fold_keys(cfg.seed, row, row + 1), cfg.hash_range)[0, 0])
 
 
-def _to_slots(
-    cfg: LshConfig,
-    proj: np.ndarray,
-    b: Optional[np.ndarray],
-    keys: Optional[np.ndarray],
-) -> np.ndarray:
-    """The one projection -> slot step of every hash.
-
-    ``proj`` holds the fresh projections (n, m * power) of n points on m
-    consecutive rows, with their offsets ``b`` and fold ``keys``. srp packs
-    the sign bits little-endian into (n, m) slots. l2/l1 floor
-    (proj + b) / sigma into (n, m, power) int64 codes, in proj's own buffer,
-    and fold them into (n, m) slots, or return the codes unfolded when
-    ``keys`` is None. A code outside int64 raises OverflowError.
-    """
-    n = proj.shape[0]
-    p = cfg.power
-    m = proj.shape[1] // p
-    if cfg.kind is Family.SRP:
-        bits = (proj >= 0.0).reshape(n, m, p)
-        return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(p, dtype=np.uint64))
-    proj += b
-    proj /= cfg.sigma
-    flat = np.floor(proj, out=proj).reshape(-1)
-    codes = flat.view(np.int64)
-    try:
-        with np.errstate(invalid="raise"):
-            # A 1-d cast onto its own buffer runs in place.
-            np.copyto(codes, flat, casting="unsafe")
-    except FloatingPointError:
-        raise OverflowError(f"hash code exceeds 64 bits at sigma {cfg.sigma!r}") from None
-    codes = codes.reshape(n, m, p)
-    if keys is None:
-        return codes
-    return _fold(codes, keys, cfg.hash_range)
-
-
 # Projection components held at once: the cap on the rows of a chunk and on
 # the total size of the projection cache.
 _MAX_COMPONENTS = 4_000_000
@@ -513,18 +476,41 @@ def slots_for_block(
     X: np.ndarray,
     W: np.ndarray,
     b: Optional[np.ndarray],
-    row_start: int,
     keys: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Slot indices for a block of rows against a dense point matrix.
+    """Slot indices for a block of rows against a dense point matrix: the
+    one projection -> slot step of every hash.
 
     X is (n, k); W, b are the outputs of projection_block / offset_block
-    for rows [row_start, row_start + m) on the same k input dimensions (all
-    dim of them, or a sparse point's nonzeros), and ``keys`` their fold keys
-    (None for srp). Returns uint64 slots (n, m), or for l2/l1 with ``keys``
-    None the unfolded int64 codes (n, m, power).
+    for m consecutive rows on the same k input dimensions (all dim of them,
+    or a sparse point's nonzeros), and ``keys`` their fold keys (None for
+    srp). srp packs the sign bits of the projections X @ W.T little-endian
+    into uint64 slots (n, m). l2/l1 floor (X @ W.T + b) / sigma into
+    (n, m, power) int64 codes, in the product's own buffer, and fold them
+    into uint64 slots (n, m), or return the codes unfolded when ``keys`` is
+    None. A code outside int64 raises OverflowError.
     """
-    return _to_slots(cfg, X @ W.T, b, keys)
+    proj = X @ W.T
+    n = proj.shape[0]
+    p = cfg.power
+    m = proj.shape[1] // p
+    if cfg.kind is Family.SRP:
+        bits = (proj >= 0.0).reshape(n, m, p)
+        return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(p, dtype=np.uint64))
+    proj += b
+    proj /= cfg.sigma
+    flat = np.floor(proj, out=proj).reshape(-1)
+    codes = flat.view(np.int64)
+    try:
+        with np.errstate(invalid="raise"):
+            # A 1-d cast onto its own buffer runs in place.
+            np.copyto(codes, flat, casting="unsafe")
+    except FloatingPointError:
+        raise OverflowError(f"hash code exceeds 64 bits at sigma {cfg.sigma!r}") from None
+    codes = codes.reshape(n, m, p)
+    if keys is None:
+        return codes
+    return _fold(codes, keys, cfg.hash_range)
 
 
 def _row_block_size(cfg: LshConfig, width: int) -> int:
@@ -588,7 +574,7 @@ def slot_blocks(
         r1 = min(cfg.rows, r0 + rows)
         W, b, keys = _state(cfg, r0, r1, dims)
         for n0 in range(0, n, points):
-            yield r0, r1, n0, slots_for_block(cfg, X[n0 : n0 + points], W, b, r0, keys)
+            yield r0, r1, n0, slots_for_block(cfg, X[n0 : n0 + points], W, b, keys)
 
 
 def check_points(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
@@ -638,7 +624,7 @@ def _row_codes(cfg: LshConfig, x: DataVector, row: int) -> np.ndarray:
     if not 0 <= row < cfg.rows:
         raise IndexError("row out of range")
     W, b, _ = _state(cfg, row, row + 1, x.indices)
-    return slots_for_block(cfg, x.values[None, :], W, b, row, None)[0, 0]
+    return slots_for_block(cfg, x.values[None, :], W, b, None)[0, 0]
 
 
 def srp_hash(cfg: LshConfig, x: DataVector, row: int) -> int:

@@ -3,7 +3,8 @@ median-of-means density queries, and bit-exact serialization.
 
 A sketch is an L x R grid of non-negative integer counters plus the
 inserted-item count N. Inserting a vector increments one slot per row (the
-slot picked by that row's hash), so every row always sums to N. Two
+slot picked by that row's hash), so every row always sums to N, and no
+counter exceeds N, which every update and merge keeps below 2**64. Two
 sketches built with the same config are mergeable by elementwise addition
 with no loss.
 
@@ -200,7 +201,11 @@ class RaceSketch:
 
     def _counted(self, n: int) -> int:
         """The item count after n more (or, n < 0, fewer) items; raises
-        OverflowError past 64 bits and UnmatchedDeletionError below 0."""
+        OverflowError past 64 bits and UnmatchedDeletionError below 0.
+
+        This is the one 64-bit bound of the sketch: every row sums to the
+        item count, so keeping it below 2**64 bounds every counter, and the
+        stores add without a check of their own."""
         if self.items + n >= 2**64:
             raise OverflowError("item count exceeds 64 bits")
         if self.items + n < 0:
@@ -232,8 +237,9 @@ class RaceSketch:
 
     def _update_matrix(self, X: np.ndarray, sign: int, apply, undo) -> None:
         """Apply the store's add (sign 1) or subtract (sign -1) to the points
-        X chunk by chunk, all or nothing: when a chunk raises, those applied
-        before it are hashed again and undone; no copy of the counters is kept."""
+        X chunk by chunk, all or nothing: when a chunk raises (an l2/l1 hash
+        code past int64, or a counter underflow), those applied before it are
+        hashed again and undone; no copy of the counters is kept."""
         X = check_points(self.config, X)
         items = self._counted(sign * X.shape[0])
         done = 0
@@ -271,8 +277,9 @@ class RaceSketch:
     def merge(self, other: "RaceSketch") -> "RaceSketch":
         """Sketch of the combined streams: elementwise counter sum.
 
-        Raises OverflowError when a counter or the item count would exceed
-        64 bits.
+        Raises OverflowError when the item count would exceed 64 bits; no
+        counter can then pass 64 bits either, since each is at most the
+        item count.
         """
         self._check_mergeable(other)
         items = self._counted(other.items)

@@ -9,6 +9,7 @@ values.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class DataVector:
     __slots__ = ("dim", "indices", "values")
 
     def __init__(self, dim: int, values, indices=None):
-        dim = int(dim)
+        dim = operator.index(dim)
         if dim <= 0:
             raise ValueError(f"dimension must be positive, got {dim}")
         values = as_real(values)
@@ -63,7 +64,11 @@ class DataVector:
                     f"dense vector has {values.shape[0]} entries, expected {dim}"
                 )
         else:
-            indices = np.asarray(indices, dtype=np.int64)
+            indices = np.asarray(indices)
+            # An empty list reads as float64; any other index must be an integer.
+            if indices.size and indices.dtype.kind not in "iu":
+                raise TypeError(f"sparse indices must be integers, got {indices.dtype}")
+            indices = indices.astype(np.int64, copy=False)
             if indices.shape != values.shape:
                 raise ValueError("indices and values must have the same length")
             if indices.size:

@@ -41,12 +41,10 @@ def test_staged_updates_match_fresh_builds(monkeypatch):
 
 
 @pytest.mark.parametrize("store_cls", [DenseStore, SparseStore])
-def test_store_rejects_wrap_and_underflow_unchanged(store_cls):
+def test_store_rejects_underflow_unchanged(store_cls):
     store = store_cls(2, 8)
     keys = np.array([3, 9], dtype=np.uint64)
     store.add(keys, np.array([2**64 - 1, 5], dtype=np.uint64))
-    with pytest.raises(OverflowError):
-        store.add(keys, np.array([1, 1], dtype=np.uint64))
     with pytest.raises(UnmatchedDeletionError):
         store.subtract(keys, np.array([1, 6], dtype=np.uint64))
     assert store.gather(keys).tolist() == [2**64 - 1, 5]
@@ -59,9 +57,11 @@ def test_store_rejects_wrap_and_underflow_unchanged(store_cls):
     [(DenseStore, struct.pack("<2Q", 2**64 - 1, 0)), (SparseStore, struct.pack("<3Q", 1, 0, 2**64 - 1))],
 )
 def test_loaded_store_checks_wide_counters(store_cls, payload):
+    """A loaded 8-byte counter keeps all 64 bits, and the row-sum check
+    reads a row summing to 2**64 as that, not as its wrapped 0."""
     store = store_cls.load(payload, 0, len(payload), 1, 2, 8)
-    with pytest.raises(OverflowError):
-        store.add(np.array([0], dtype=np.uint64), np.array([1], dtype=np.uint64))
     assert store.gather(np.array([0], dtype=np.uint64)).tolist() == [2**64 - 1]
+    assert store.rows_sum_to(2**64 - 1, 8)
     store.add(np.array([1], dtype=np.uint64), np.array([1], dtype=np.uint64))
     assert store.gather(np.array([0, 1], dtype=np.uint64)).tolist() == [2**64 - 1, 1]
+    assert not store.rows_sum_to(0, 8) and not store.rows_sum_to(2**64 - 1, 8)

@@ -1,6 +1,6 @@
 """No racekde module imports or reads an underscore name of a sibling
-module, and none but io opens a file, so every rule stays behind the module
-that owns it."""
+module, none but io opens a file, and the counter stores raise no
+OverflowError, so every rule stays behind the module that owns it."""
 
 import ast
 from pathlib import Path
@@ -45,6 +45,30 @@ def test_guard_sees_private_imports():
         "vectors._helper\nfrom numpy import _private\n"
     )
     assert sorted(private_sibling_names(tree)) == ["_CACHE", "_blocks", "_helper", "_top"]
+
+
+def overflow_raises(tree: ast.AST):
+    """Line numbers of the ``raise OverflowError`` statements of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "OverflowError":
+                yield node.lineno
+
+
+# RaceSketch's item count bounds every counter, so no store checks one.
+def test_counter_stores_raise_no_overflow():
+    tree = ast.parse((SRC / "counters.py").read_text(), filename="counters.py")
+    assert list(overflow_raises(tree)) == []
+
+
+def test_overflow_guard_sees_raises():
+    tree = ast.parse(
+        "raise OverflowError('counter')\nraise ValueError('x')\nraise OverflowError\n"
+        "try:\n    pass\nexcept OverflowError:\n    raise\n"
+        "if x:\n    raise OverflowError('x') from None\n"
+    )
+    assert list(overflow_raises(tree)) == [1, 3, 9]
 
 
 def builtin_open_calls(tree: ast.AST):

@@ -409,20 +409,6 @@ def test_malformed_sparse_payload_rejected(rows, payload, message):
         RaceSketch.from_bytes(crafted_file(rows, 4, 1, payload, items=3))
 
 
-def test_merge_counter_overflow_raises():
-    cfg = l2_cfg(rows=2, hash_range=4)
-    full, one = RaceSketch(cfg), RaceSketch(cfg)
-    full._counts[0, 0] = 2**64 - 1
-    one._counts[0, 0] = 1
-    with pytest.raises(OverflowError, match="counter"):
-        full.merge(one)
-    sparse = RaceSketch(cfg, "sparse").merge(full)
-    with pytest.raises(OverflowError, match="counter"):
-        sparse.merge(one)
-    assert full._counts[0, 0] == 2**64 - 1
-    assert sparse == full
-
-
 @pytest.mark.parametrize("storage", ["dense", "sparse"])
 def test_merge_item_count_overflow_raises(storage):
     cfg = l2_cfg(rows=1, hash_range=4)
@@ -499,17 +485,29 @@ def test_non_finite_header_sigma_is_format_error(kind, sigma):
 
 @pytest.mark.parametrize("storage_code", [0, 1])
 def test_add_past_the_item_limit_raises_unchanged(storage_code):
+    """At 2**64 - 1 items, add, add_matrix and a merge with a one-item
+    sketch, in either order, are refused before any counter moves: with
+    each row split over two counters, and with each row holding one counter
+    of 2**64 - 1, the fullest counter a valid file can hold."""
     if storage_code == 0:
-        payload = struct.pack("<4Q", 2**63, 2**63 - 1, 0, 0)
+        split = struct.pack("<4Q", 2**63, 2**63 - 1, 0, 0)
+        full = struct.pack("<8Q", 2**64 - 1, 0, 0, 0, 0, 0, 2**64 - 1, 0)
     else:
-        payload = struct.pack("<5Q", 2, 0, 2**63, 1, 2**63 - 1)
-    s = RaceSketch.from_bytes(crafted_file(1, 4, storage_code, payload, 2**64 - 1, 3))
-    before = s.to_bytes()
+        split = struct.pack("<5Q", 2, 0, 2**63, 1, 2**63 - 1)
+        full = struct.pack("<6Q", 1, 0, 2**64 - 1, 1, 2, 2**64 - 1)
     X = RNG.normal(size=(2, 4))
-    for call in (lambda: s.add(DataVector.dense(X[0])), lambda: s.add_matrix(X)):
-        with pytest.raises(OverflowError, match="item count exceeds 64 bits"):
-            call()
-        assert s.items == 2**64 - 1 and s.to_bytes() == before
+    for rows, payload in ((1, split), (2, full)):
+        s = RaceSketch.from_bytes(crafted_file(rows, 4, storage_code, payload, 2**64 - 1, 3))
+        one = RaceSketch(s.config, s.storage)
+        one.add(DataVector.dense(X[0]))
+        before, one_before = s.to_bytes(), one.to_bytes()
+        calls = (lambda: s.add(DataVector.dense(X[0])), lambda: s.add_matrix(X),
+                 lambda: s.merge(one), lambda: one.merge(s))
+        for call in calls:
+            with pytest.raises(OverflowError, match="item count exceeds 64 bits"):
+                call()
+            assert s.items == 2**64 - 1 and s.to_bytes() == before
+            assert one.items == 1 and one.to_bytes() == one_before
 
 
 def test_serialize_returns_the_size_written(tmp_path):

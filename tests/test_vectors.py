@@ -147,6 +147,26 @@ def test_complex_values_rejected():
             DataVector(2, values)
 
 
+def test_non_integer_indices_and_dimensions_rejected():
+    """Indices and the dimension are taken as integers, never truncated or
+    parsed. Numpy integers of any width are integers, and so is an empty
+    index list (all-zero sparse input), which numpy reads as float64."""
+    for indices in ([1.7, 2.2], np.array([1.0, 2.0]), ["1", "2"], [True, False]):
+        with pytest.raises(TypeError, match="sparse indices must be integers"):
+            DataVector.sparse(4, indices, [1.0, 2.0])
+    for dim in (4.9, 4.0, np.float64(4.0), "4"):
+        with pytest.raises(TypeError):
+            DataVector(dim, [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(TypeError):
+            DataVector.sparse(dim, [1, 2], [1.0, 2.0])
+    x = DataVector.sparse(np.int64(4), np.array([1, 3], dtype=np.uint8), [1.0, 2.0])
+    assert type(x.dim) is int and x.dim == 4 and x.indices.dtype == np.int64
+    assert x.to_dense().tolist() == [0.0, 1.0, 0.0, 2.0]
+    assert DataVector(np.int32(2), [1.0, 2.0]).dim == 2
+    empty = DataVector.sparse(4, [], [])
+    assert empty.indices.dtype == np.int64 and not empty.to_dense().any()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_finite_check_of_a_matrix_allocates_nothing_of_its_size(bad):
     X = np.ones((400, 1000))
