@@ -15,8 +15,8 @@ inverting the rehash collision shift. Both estimators combine rows by
 median-of-means for concentration.
 
 Counters live in one of two stores (see ``racekde.counters``): a dense
-(rows, R) array, or sorted flat keys ``row * R + slot`` with a small delta
-of staged single-item updates. Every method below goes through the store's
+(rows, R) array, or sorted flat keys ``row * R + slot`` with a log of
+writes that reads fold in. Every method below goes through the store's
 interface, and the store changes the memory layout and the file size only,
 never a counter, an estimate or a merge result.
 
@@ -161,7 +161,7 @@ class RaceSketch:
     ``storage`` is "dense", "sparse", or "auto" (dense when the slot range
     is at most 4096). A dense sketch keeps a (rows, R) counter array; a
     sparse one keeps its nonzero counters as sorted flat keys
-    ``row * R + slot`` with a small delta of staged single-item updates.
+    ``row * R + slot`` with a log of writes that reads fold in.
     Storage affects layout and file size only, never the counter values.
     """
 
@@ -329,11 +329,12 @@ class RaceSketch:
         counters = self.raw_query(q)
         size = L // groups
         used = counters[: groups * size].astype(np.float64).reshape(groups, size)
-        means = used.mean(axis=1) / self.items
+        means = used.sum(axis=1) / size / self.items
         if self.config.kind is not Family.SRP:
             R = float(self.config.hash_range)
             means = (means - 1.0 / R) * R / (R - 1.0)
-        return KdeEstimate(float(np.median(means)), means, groups)
+        # groups is odd, so the median is the middle group mean.
+        return KdeEstimate(float(np.sort(means)[groups // 2]), means, groups)
 
     def estimate_finite(self, q: DataVector, groups: int = 9) -> KdeEstimate:
         """Median-of-means density estimate for a finite-range (srp) sketch."""

@@ -195,6 +195,30 @@ def test_estimate_group_median():
     assert est.value == 0.4
 
 
+@pytest.mark.parametrize(
+    "cfg, storage",
+    [
+        (srp_cfg(rows=45, power=2), "dense"),
+        (l2_cfg(rows=45, hash_range=16), "dense"),
+        (LshConfig("l1", 6, 0.7, 2, 45, 10_000, 3), "sparse"),
+        (l2_cfg(rows=45, hash_range=16, sigma=0.3), "sparse"),
+    ],
+)
+def test_estimate_value_is_the_median_group_mean(cfg, storage):
+    """The value is the median of the group means, bit for bit, including
+    debiased means below 0 and ties."""
+    s = RaceSketch(cfg, storage)
+    s.add_matrix(np.random.default_rng(31).normal(size=(40, 6)))
+    negative = 0
+    for q in np.random.default_rng(32).normal(scale=2.0, size=(8, 6)):
+        for groups in (1, 3, 5, 9, 15, 45):
+            e = s.estimate(DataVector.dense(q), groups)
+            median = float(np.median(e.group_means))
+            assert e.value == median and struct.pack("<d", e.value) == struct.pack("<d", median)
+            negative += bool(np.count_nonzero(e.group_means < 0))
+    assert negative or cfg.kind == "srp"
+
+
 def test_estimate_group_validation():
     s = RaceSketch(srp_cfg(rows=10))
     s.add(rand_vec())
