@@ -19,8 +19,11 @@ returns one of these two forms.
   sqrt(nnz * rows) entries. A stream of writes thus costs O(rows log n)
   amortized per item, n the log bound, whatever the number of nonzero
   counters nnz, and the first read after writes pays their fold. The log
-  holds at most the bound plus one write, 16 bytes an entry. A read folds
-  under the store's lock, so reads from several threads at once are safe.
+  holds at most the bound plus one write, 16 bytes an entry: 1 MiB at the
+  2**16 floor, but the bound grows with nnz, so the log of a large build
+  can reach the size of the base, and a fold briefly needs a few arrays of
+  that size more. A read folds under the store's lock, so reads from
+  several threads at once are safe.
 
 Callers keep every counter below 2**64, so adding sums without a 64-bit
 check; ``RaceSketch`` does so through its item count, which every row sums
@@ -98,23 +101,11 @@ def _union(k1: np.ndarray, v1: np.ndarray, k2: np.ndarray, v2: np.ndarray):
     return keys, vals
 
 
-def _summed(keys: np.ndarray, vals: np.ndarray, key_bits: int):
+def _summed(keys: np.ndarray, vals: np.ndarray):
     """The distinct keys, sorted, with their counts summed modulo 2**64;
-    keys whose sum is 0 are dropped. Keys are below 2**key_bits. Where a
-    key and its position fit 64 bits together, the keys are sorted as
-    ``key << shift | position``, a plain uint64 sort that is much cheaper
-    than an argsort."""
-    shift = (keys.size - 1).bit_length()
-    if key_bits + shift <= 64:
-        packed = keys << np.uint64(shift)
-        packed |= np.arange(keys.size, dtype=np.uint64)
-        packed.sort()
-        order = (packed & np.uint64((1 << shift) - 1)).view(np.int64)
-        keys = packed >> np.uint64(shift)
-    else:
-        order = np.argsort(keys)
-        keys = keys[order]
-    vals = vals[order]
+    keys whose sum is 0 are dropped."""
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -128,9 +119,10 @@ def _log_limit(nnz: int) -> int:
     """Logged entries the sparse store may hold before it folds them.
 
     At least nnz, so the O(nnz) merge of the delta into the base that a
-    fold may end with is spread over as many logged entries; and at least
-    2**16 (1 MiB of log), the cheapest power of 2 from 2**12 to 2**20 for a
-    whole l1 build of 1000 single adds at L=500, R=1e5 and its payload."""
+    fold may end with is spread over as many logged entries, which lets the
+    log grow as large as the base; and at least 2**16 (1 MiB of log), the
+    cheapest power of 2 from 2**12 to 2**20 for a whole l1 build of 1000
+    single adds at L=500, R=1e5 and its payload."""
     return max(2**16, nnz)
 
 
@@ -265,11 +257,7 @@ class SparseStore:
         the base once it outgrows ``_delta_limit``."""
         if not self._log:
             return
-        if len(self._log) == 1:  # one write: sorted unique nonzero keys
-            keys, deltas = self._log[0]
-        else:
-            key_bits = (self.rows * self.R - 1).bit_length()
-            keys, deltas = _summed(*map(np.concatenate, zip(*self._log)), key_bits)
+        keys, deltas = _summed(*map(np.concatenate, zip(*self._log)))
         self._log, self._logged = [], 0
         dkeys, dvals = _union(self.dkeys, self.dvals, keys, deltas)
         if dkeys.size > _delta_limit(self.keys.size, self.rows):

@@ -48,23 +48,21 @@ def test_staged_updates_match_fresh_builds(monkeypatch):
     assert staged > 20 and folds > 5
 
 
-@pytest.mark.parametrize("key_bits", [12, 64])
-def test_summed_adds_counts_by_key(key_bits):
+def test_summed_adds_counts_by_key():
     """Logged entries fold to their distinct keys, sorted, with the counts
-    summed modulo 2**64 and sums of 0 dropped, whether the keys fit beside
-    their positions in one uint64 or are too wide for it."""
+    summed modulo 2**64 and sums of 0 dropped, keys of all 64 bits too."""
     rng = np.random.default_rng(8)
-    keys = rng.integers(0, 40, size=500).astype(np.uint64) << np.uint64(key_bits - 6)
+    keys = rng.integers(0, 40, size=500).astype(np.uint64) << np.uint64(58)
     vals = rng.choice(np.array([1, 2, 2**64 - 1, 2**64 - 2], dtype=np.uint64), size=500)
     want = {}
     for k, v in zip(keys.tolist(), vals.tolist()):
         want[k] = (want.get(k, 0) + v) % 2**64
     want = sorted((k, v) for k, v in want.items() if v)
     assert len(want) < 40  # some keys sum to 0
-    got_keys, got_vals = counters._summed(keys, vals, key_bits)
+    got_keys, got_vals = counters._summed(keys, vals)
     assert list(zip(got_keys.tolist(), got_vals.tolist())) == want
     empty = np.zeros(0, dtype=np.uint64)
-    assert [a.size for a in counters._summed(empty, empty, key_bits)] == [0, 0]
+    assert [a.size for a in counters._summed(empty, empty)] == [0, 0]
 
 
 def test_sparse_reads_fold_empty_and_cancelling_writes(monkeypatch):
