@@ -11,7 +11,11 @@ rounds differently can flip a slot at a floor boundary.
 The shapes are scaled-down forms of the benchmark workloads (dense l2,
 srp, sparse wide l1), and the sparse store is covered through single
 ``add``/``remove`` streams, ``add_matrix``/``remove_matrix``, ``merge``,
-``to_bytes`` and ``raw_query_matrix``.
+``to_bytes`` and ``raw_query_matrix``. Further cases cover srp, l2 and l1
+at powers 2 to 4, a power-1 chunk whose rows fold both by table and by
+mixing, an over-cap config whose row chunks cross its cap-sized blocks,
+single-item hashes of dense input, and sparse stores that hold a staged
+delta and a log of writes when they merge or serialize.
 """
 
 import hashlib
@@ -20,7 +24,7 @@ import struct
 import numpy as np
 import pytest
 
-from racekde import DataVector, LshConfig, RaceSketch, hash_matrix
+from racekde import DataVector, LshConfig, RaceSketch, hash_all, hash_matrix, lsh
 
 DENSE_L2 = LshConfig("l2", 32, 2.0, 1, 256, 64, 11)
 SRP = LshConfig("srp", 64, 0.0, 4, 64, 16, 12)
@@ -136,18 +140,139 @@ def case_storages_merge():
             sparse.merge(dense).raw_query_matrix(X[800:]).tobytes()]
 
 
+def _powers(kind, sigma, ranges):
+    """Every config of the family at powers 2 to 4 over the given ranges
+    (2**power for srp): hash_matrix slots, a build's bytes and its
+    counters at held-out points."""
+    X = _dense_points(260, 12, 8)
+    out = []
+    for power in (2, 3, 4):
+        for R in ranges or (2**power,):
+            cfg = LshConfig(kind, 12, sigma, power, 48, R, 16 + power)
+            s = _built(cfg, X[:200])
+            out += (hash_matrix(cfg, X).tobytes(), s.to_bytes(),
+                    s.raw_query_matrix(X[200:]).tobytes(), _estimates(s, X[200:203]))
+    return out
+
+
+def case_srp_powers():
+    return _powers("srp", 0.0, ())
+
+
+def case_l2_powers():
+    return _powers("l2", 1.5, (3, 100_000))
+
+
+def case_l1_powers():
+    return _powers("l1", 6.0, (3, 100_000))
+
+
+def case_l1_mixed_fold():
+    """Heavy-tailed l1 points at power 1: in one chunk, the rows whose codes
+    span fewer values than half the points fold by table and the others mix
+    each code."""
+    cfg = LshConfig("l1", 8, 40.0, 1, 96, 100_000, 17)
+    X = np.random.default_rng(9).standard_cauchy(size=(600, 8))
+    s = _built(cfg, X[:500])
+    return [hash_matrix(cfg, X).tobytes(), s.to_bytes(), s.raw_query_matrix(X[500:]).tobytes()]
+
+
+def case_over_cap():
+    """A config over a shrunken projection cap: dense hashes generate
+    50-row blocks, and sparse hashes of 8 nonzeros take 125-row chunks that
+    cross those blocks' edges."""
+    cfg = LshConfig("l2", 20, 2.0, 2, 130, 700, 18)
+    X = _dense_points(90, 20, 10)
+    rng = np.random.default_rng(11)
+    sparse = [DataVector.sparse(20, np.sort(rng.choice(20, 8, replace=False)), rng.normal(size=8) + 3.0)
+              for _ in range(12)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lsh, "_MAX_COMPONENTS", 2000)
+        s = _built(cfg, X[:80])
+        for x in sparse:
+            s.add(x)
+        return [hash_matrix(cfg, X).tobytes(), s.to_bytes(), s.raw_query_matrix(X[80:]).tobytes(),
+                b"".join(hash_all(cfg, x).tobytes() for x in sparse)]
+
+
+def case_hash_all_dense():
+    """Single-item hashes of dense input under dense l2, srp and wide l1."""
+    out = []
+    for cfg, X in ((DENSE_L2, _dense_points(20, 32, 12, scale=2.0)), (SRP, _dense_points(20, 64, 13)),
+                   (SPARSE_L1, _sparse_points(20, 14)[0])):
+        out += [hash_all(cfg, DataVector.dense(x)).tobytes() for x in X]
+    return out
+
+
+STAGED = LshConfig("l1", 16, 1.0, 2, 40, 5000, 19)
+
+
+def _staged(X):
+    """A sparse STAGED sketch of X whose store holds a staged delta (single
+    adds that a read folded) and a log (single adds after that read)."""
+    s = _built(STAGED, X[:-8], "sparse")
+    s.raw_query_matrix(X[:1])
+    for i, x in enumerate(X[-8:]):
+        s.add(DataVector.dense(x))
+        if i == 3:
+            s.raw_query_matrix(X[:1])
+    assert s._store.dkeys.size and s._store._log
+    return s
+
+
+def case_staged_merge_chains():
+    """Merge chains of sparse stores holding a delta and a log: sparse with
+    sparse, sparse with dense and dense with sparse, with writes between."""
+    X = _dense_points(400, 16, 15)
+    a, b, c = _staged(X[:120]), _staged(X[120:240]), _staged(X[240:330])
+    dense = _built(STAGED, X[330:390], "dense")
+    ab = a.merge(b)
+    ab.add(DataVector.dense(X[390]))
+    abc = ab.merge(c)
+    mixed = [_staged(X[:120]).merge(dense), dense.merge(_staged(X[120:240]))]
+    mixed[1].add(DataVector.dense(X[391]))
+    chain = mixed[0].merge(_staged(X[240:330])).merge(mixed[1])
+    return [ab.to_bytes(), abc.to_bytes(), abc.raw_query_matrix(X[392:]).tobytes(),
+            mixed[0].to_bytes(), mixed[1].to_bytes(), chain.to_bytes()]
+
+
+def case_staged_to_bytes():
+    """to_bytes of a sparse store while a delta is staged, then after more
+    single adds and removes."""
+    X = _dense_points(200, 16, 16)
+    s = _staged(X[:150])
+    out = [s.to_bytes()]
+    assert s._store.dkeys.size
+    for x in X[150:160]:
+        s.add(DataVector.dense(x))
+    s.remove(DataVector.dense(X[3]))
+    out.append(s.to_bytes())
+    s.remove_matrix(X[140:150])
+    return out + [s.to_bytes(), s.raw_query_matrix(X[170:]).tobytes()]
+
+
 CASES = {f.__name__[5:]: f for f in (
     case_dense_l2, case_srp, case_sparse_add_stream, case_sparse_window,
-    case_sparse_matrix_updates, case_sparse_merge, case_storages_merge,
+    case_sparse_matrix_updates, case_sparse_merge, case_storages_merge, case_srp_powers,
+    case_l2_powers, case_l1_powers, case_l1_mixed_fold, case_over_cap, case_hash_all_dense,
+    case_staged_merge_chains, case_staged_to_bytes,
 )}
 
 DIGESTS = {
     "dense_l2": "93e3e0fca6482df322d1e7859f56169d265f600eb9febbbd48714b03b68aa967",
+    "hash_all_dense": "3ff5a5eb03a2d12305dc26dab1f47ec960ba2383f31500f5a28465d936e0af1d",
+    "l1_mixed_fold": "3660565711698a2ce580ff821f2a188f94a43d6b7d295ff239bc6d98e91988b9",
+    "l1_powers": "f42087916cab1512b60d868c01431e2bd88ce68850c1ab6b639541427787bee3",
+    "l2_powers": "2d6d81d889608d31ece19ed4b85251303c1030c19844b8892c35fbf98add947c",
+    "over_cap": "817cd2a59a1bc6761b261b5c339f52c6cd4c52510115983200c4f042100a01c9",
     "sparse_add_stream": "a4fe7126b54804a7edac3e3566548b43aa2bc992184bbf641336d6939ba8e682",
     "sparse_matrix_updates": "d606efc78473b50fe9acd329f4941c5cf97ff6f48c9138e749c734512d0657fc",
     "sparse_merge": "ce54a5c590df91c9f1906340fe8de8c093a2ecd1bcb0be5d54dc86d1cfc4a235",
     "sparse_window": "a747598bf7fcbb48889cada6df38dee3f2601dfa8c11239f74eec1945dc33abb",
     "srp": "2c1138d4b541592f680f3b8d5bb9c8f88e687dfbe5e9a44723a1117e5514f466",
+    "srp_powers": "2b7403f7ec3fe50c812c94ae78068b2104d665f62e6b69a382b1ebc132804bf7",
+    "staged_merge_chains": "e34d7cadf72042c137266b99a267b19e107502fdca7936c36d38f9ea7d8df1ca",
+    "staged_to_bytes": "43d4e494de17e45c13b29b2c1a2646ba0e39a7205c3551b78081f5ed1e0c1c1c",
     "storages_merge": "1127055c7ed75a0c2e32a0ac52e66bf96c4c73b4ba920a823d350496bbd27316",
 }
 
