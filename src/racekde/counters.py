@@ -1,12 +1,19 @@
 """Counter stores of a RACE sketch: the dense grid and the sorted sparse keys.
 
+This module owns the counter layout. Counter (row, slot) of an L x R grid
+has the flat key ``row * R + slot``, a uint64: :func:`flat_keys` turns a
+chunk of hashed slots into flat keys, :func:`tally` counts a chunk's flat
+keys, and each store decodes them again into its file payload.
+
 A store holds the L x R counters of one sketch behind one small interface,
-written once for both layouts: ``gather`` the counters at flat keys
-``row * R + slot``, ``add`` or ``subtract`` counts at flat keys, list the
-``counters``, and the ``merged`` sum with another store. Flat keys are
-passed as a uint64 array, sorted and unique, or as a slice over a run of
-flat keys with a count for each key in it, zeros included; ``counters()``
-returns one of these two forms.
+written once for both layouts: ``gather`` the counters at flat keys,
+``add`` or ``subtract`` counts at flat keys, list the ``counters``, the
+``merged`` sum with another store, and the ``payload`` of the sketch file.
+Flat keys are passed as a uint64 array, sorted and unique, or as a slice
+over a run of flat keys with a count for each key in it, zeros included;
+``counters()`` returns one of these two forms. ``payload()`` picks the
+narrowest counter width of 1, 2, 4 or 8 bytes that fits the largest
+counter and returns it with the bytes, so the counters are read once.
 
 * ``DenseStore`` keeps every counter in one (rows, R) uint64 array.
 * ``SparseStore`` keeps the nonzero counters as sorted unique uint64 flat
@@ -23,7 +30,8 @@ returns one of these two forms.
   2**16 floor, but the bound grows with nnz, so the log of a large build
   can reach the size of the base, and a fold briefly needs a few arrays of
   that size more. A read folds under the store's lock, so reads from
-  several threads at once are safe.
+  several threads at once are safe. A merge does not go through the log:
+  it joins the two stores' sorted counters in one sorted union.
 
 Callers keep every counter below 2**64, so adding sums without a 64-bit
 check; ``RaceSketch`` does so through its item count, which every row sums
@@ -64,15 +72,35 @@ def nonzero(keys, counts):
     return keys, counts
 
 
-def tally(local: np.ndarray, first: int, span: int):
-    """Occurrences of the flat keys ``first + local``, local in [0, span):
-    a bincount when the span is no wider than the keys, else unique keys."""
+def _row_bases(row_start: int, rows: int, R: int) -> np.ndarray:
+    """The flat key of slot 0 of each of the rows from row_start on."""
+    return np.arange(row_start, row_start + rows, dtype=np.uint64) * np.uint64(R)
+
+
+def flat_keys(slots: np.ndarray, row_start: int, R: int) -> np.ndarray:
+    """Flat keys row * R + slot, in place, of fresh uint64 slots whose last
+    axis holds one slot for each row from row_start on."""
+    slots += _row_bases(row_start, slots.shape[-1], R)
+    return slots
+
+
+def tally(slots: np.ndarray, row_start: int, R: int):
+    """(flat keys, counts) of the fresh uint64 slots of a chunk of points on
+    the rows from row_start on: a bincount when the chunk's span of flat
+    keys is no wider than its slots, else unique keys."""
+    local, first, span = flat_keys(slots, 0, R), row_start * R, slots.shape[-1] * R
     if span <= local.size:
         # local < span <= local.size, so the uint64 keys read as int64
         counts = np.bincount(local.view(np.int64).ravel(), minlength=span)
         return slice(first, first + span), counts.astype(np.uint64)
     keys, counts = np.unique(local, return_counts=True)
     return keys + np.uint64(first), counts.astype(np.uint64)
+
+
+def _width(vals: np.ndarray) -> int:
+    """The narrowest counter width of 1, 2, 4 or 8 bytes that fits vals."""
+    top = int(vals.max(initial=0))
+    return next(w for w in (1, 2, 4, 8) if top < 1 << (8 * w))
 
 
 def _lookup(keys: np.ndarray, vals: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -195,8 +223,9 @@ class DenseStore:
     def rows_sum_to(self, items: int, width: int) -> bool:
         return _sums_equal(lambda v: np.einsum("ij->i", v), self.counts, items, width)
 
-    def payload(self, width: int) -> bytes:
-        return self.counts.astype(f"<u{width}").tobytes()
+    def payload(self):
+        width = _width(self.counts)
+        return width, self.counts.astype(f"<u{width}").tobytes()
 
     @classmethod
     def load(cls, data, offset: int, end: int, rows: int, R: int, width: int):
@@ -212,7 +241,9 @@ class SparseStore:
     ``vals``, a delta ``dkeys``/``dvals`` of folded updates with signed
     counts held modulo 2**64, and a log of the writes not yet folded (see
     the module docstring). Arrays are replaced, never written in place, so
-    stores may share them. The caller keeps every counter below 2**64."""
+    stores may share them. Every method holds the store's lock, which is
+    re-entrant, so ``subtract`` checks its counters through ``gather``. The
+    caller keeps every counter below 2**64."""
 
     name, code = "sparse", 1
 
@@ -221,18 +252,15 @@ class SparseStore:
         self.keys = self.vals = self.dkeys = self.dvals = _NO_ENTRIES
         self._log: list = []  # (keys, signed counts) of each write, in order
         self._logged = 0  # entries in the log
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def gather(self, keys: np.ndarray) -> np.ndarray:
         with self._lock:
-            return self._gather(keys)
-
-    def _gather(self, keys: np.ndarray) -> np.ndarray:
-        self._fold()
-        out = _lookup(self.keys, self.vals, keys)
-        if self.dkeys.size:
-            out += _lookup(self.dkeys, self.dvals, keys)
-        return out
+            self._fold()
+            out = _lookup(self.keys, self.vals, keys)
+            if self.dkeys.size:
+                out += _lookup(self.dkeys, self.dvals, keys)
+            return out
 
     def add(self, keys, counts) -> None:
         keys, counts = nonzero(keys, counts)
@@ -242,7 +270,7 @@ class SparseStore:
     def subtract(self, keys, counts) -> None:
         keys, counts = nonzero(keys, counts)
         with self._lock:
-            if np.count_nonzero(self._gather(keys) < counts):
+            if np.count_nonzero(self.gather(keys) < counts):
                 raise UnmatchedDeletionError("counter underflow: vectors not present")
             self._write(keys, -counts)
 
@@ -276,12 +304,11 @@ class SparseStore:
             return {k: v for k, v in vars(self).items() if k != "_lock"}
 
     def __setstate__(self, state):
-        vars(self).update(state, _lock=threading.Lock())
+        vars(self).update(state, _lock=threading.RLock())
 
     def merged(self, other) -> "SparseStore":
         out = SparseStore(self.rows, self.R)
-        out.keys, out.vals = self.counters()
-        out.add(*other.counters())
+        out.keys, out.vals = _union(*self.counters(), *nonzero(*other.counters()))
         return out
 
     def dense(self) -> np.ndarray:
@@ -290,11 +317,8 @@ class SparseStore:
         out[keys.view(np.int64)] = vals
         return out.reshape(self.rows, self.R)
 
-    def _row_bases(self) -> np.ndarray:
-        return np.arange(self.rows, dtype=np.uint64) * np.uint64(self.R)
-
     def _row_lengths(self, keys: np.ndarray) -> np.ndarray:
-        return np.diff(np.searchsorted(keys, self._row_bases()), append=keys.size)
+        return np.diff(np.searchsorted(keys, _row_bases(0, self.rows, self.R)), append=keys.size)
 
     def rows_sum_to(self, items: int, width: int) -> bool:
         keys, vals = self.counters()
@@ -304,11 +328,11 @@ class SparseStore:
         starts = np.cumsum(lengths) - lengths
         return _sums_equal(lambda v: np.add.reduceat(v, starts), vals, items, width)
 
-    def payload(self, width: int) -> bytes:
+    def payload(self):
         keys, vals = self.counters()
-        lengths = self._row_lengths(keys)
+        width, lengths = _width(vals), self._row_lengths(keys)
         entries = np.empty(keys.size, dtype=_pair_dtype(width))
-        entries["slot"] = keys - np.repeat(self._row_bases(), lengths)
+        entries["slot"] = keys - np.repeat(_row_bases(0, self.rows, self.R), lengths)
         entries["count"] = vals
         heads = memoryview(lengths.astype("<u8").tobytes())
         body = memoryview(entries.tobytes())
@@ -316,7 +340,7 @@ class SparseStore:
         parts = []
         for l, (start, stop) in enumerate(zip([0] + ends, ends)):
             parts += (heads[8 * l : 8 * l + 8], body[start:stop])
-        return b"".join(parts)
+        return width, b"".join(parts)
 
     @classmethod
     def load(cls, data, offset: int, end: int, rows: int, R: int, width: int):
@@ -339,7 +363,7 @@ class SparseStore:
         entries = np.frombuffer(b"".join(parts), dtype=_pair_dtype(width))
         store = cls(rows, R)
         slots = entries["slot"]
-        keys = slots + np.repeat(store._row_bases(), lengths)
+        keys = slots + np.repeat(_row_bases(0, rows, R), lengths)
         # In-range slots and strictly increasing flat keys: every row's
         # slots are strictly increasing and below R.
         if np.count_nonzero(slots >= R) or np.count_nonzero(keys[1:] <= keys[:-1]):

@@ -311,11 +311,10 @@ def _fold(codes: np.ndarray, keys: np.ndarray, hash_range: int) -> np.ndarray:
         # hi - lo, exact as uint64 for any two int64 codes
         span = codes.max(axis=0)[:, 0].view(np.uint64) - lo.view(np.uint64)
         fits = span < np.uint64(n // 2)
-        if fits.all():
-            return _table_fold(codes[:, :, 0], keys, lo, int(span.max()) + 1, hash_range)
         if fits.any():
+            # The wide rows, if any, mix first: the table reuses the codes.
             wide = np.flatnonzero(~fits)
-            mixed = _mix_fold(codes[:, wide], keys[wide], hash_range)
+            mixed = _mix_fold(codes[:, wide], keys[wide], hash_range) if wide.size else 0
             out = _table_fold(codes[:, :, 0], keys, lo, int(span[fits].max()) + 1, hash_range)
             out[:, wide] = mixed
             return out

@@ -14,9 +14,11 @@ kernel density; for rehashed families (l2/l1) the estimate is debiased by
 inverting the rehash collision shift. Both estimators combine rows by
 median-of-means for concentration.
 
-Counters live in one of two stores (see ``racekde.counters``): a dense
-(rows, R) array, or sorted flat keys ``row * R + slot`` with a log of
-writes that reads fold in. Every method below goes through the store's
+Counters live in one of two stores of ``racekde.counters``, which owns
+the counter layout: a dense (rows, R) array, or sorted flat keys with a log
+of writes that reads fold in. A sketch hands ``counters`` the slots it
+hashed and gets back flat keys, chunk tallies and the file's row payloads
+with their counter width. Every method below goes through the store's
 interface, and the store changes the memory layout and the file size only,
 never a counter, an estimate or a merge result.
 
@@ -30,8 +32,8 @@ File format (little-endian), see ``serialize``:
 Dense row payload: ``range`` counters of the declared width. Sparse row
 payload: u64 entry count, then (u64 slot, counter) pairs sorted by slot,
 every counter nonzero. The declared width is the narrowest of
-{1, 2, 4, 8} bytes that fits the largest counter. Every row of a valid file
-sums to ``items``.
+{1, 2, 4, 8} bytes that fits the largest counter, as the store's payload
+picks it. Every row of a valid file sums to ``items``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .counters import STORES, SketchFormatError, UnmatchedDeletionError, nonzero, tally
+from .counters import STORES, SketchFormatError, UnmatchedDeletionError, flat_keys, nonzero, tally
 from .io import PathOrFile, opened
 from .lsh import (
     Family,
@@ -160,8 +162,8 @@ class RaceSketch:
 
     ``storage`` is "dense", "sparse", or "auto" (dense when the slot range
     is at most 4096). A dense sketch keeps a (rows, R) counter array; a
-    sparse one keeps its nonzero counters as sorted flat keys
-    ``row * R + slot`` with a log of writes that reads fold in.
+    sparse one keeps its nonzero counters as sorted flat keys (see
+    ``racekde.counters``) with a log of writes that reads fold in.
     Storage affects layout and file size only, never the counter values.
     """
 
@@ -190,13 +192,6 @@ class RaceSketch:
         """The (rows, R) counter array of a dense sketch."""
         return self._store.counts
 
-    def _row_keys(self, slots: np.ndarray, row_start: int = 0) -> np.ndarray:
-        """Flat keys row * R + slot, in place, of fresh slots holding one slot
-        for each row from row_start on."""
-        R = self.config.hash_range
-        slots += np.arange(row_start, row_start + slots.shape[-1], dtype=np.uint64) * np.uint64(R)
-        return slots
-
     # ------------------------------------------------------------------ build
 
     def _counted(self, n: int) -> int:
@@ -215,7 +210,7 @@ class RaceSketch:
     def _update(self, x: DataVector, n: int, update) -> None:
         """Apply the store's add or subtract to x's slots, and n to N."""
         items = self._counted(n)
-        keys = self._row_keys(hash_all(self.config, x))
+        keys = flat_keys(hash_all(self.config, x), 0, self.config.hash_range)
         update(keys, np.ones(keys.size, dtype=np.uint64))
         self.items = items
 
@@ -231,9 +226,8 @@ class RaceSketch:
     def _tallies(self, X: np.ndarray):
         """(flat keys, counts) of the checked points X, one pair per chunk
         of ``slot_blocks``."""
-        R = self.config.hash_range
-        for r0, r1, _n0, slots in slot_blocks(self.config, X):
-            yield tally(self._row_keys(slots), r0 * R, (r1 - r0) * R)
+        for r0, _r1, _n0, slots in slot_blocks(self.config, X):
+            yield tally(slots, r0, self.config.hash_range)
 
     def _update_matrix(self, X: np.ndarray, sign: int, apply, undo) -> None:
         """Apply the store's add (sign 1) or subtract (sign -1) to the points
@@ -295,7 +289,7 @@ class RaceSketch:
         """The L counters at the query's slots, one per row."""
         slots = hash_all(self.config, q)
         self._check_nonempty()
-        return self._store.gather(self._row_keys(slots))
+        return self._store.gather(flat_keys(slots, 0, self.config.hash_range))
 
     def raw_query_matrix(self, Q: np.ndarray) -> np.ndarray:
         """Counters for a batch of dense queries; shape (n, rows), gathered
@@ -303,8 +297,9 @@ class RaceSketch:
         Q = check_points(self.config, Q)
         self._check_nonempty()
         out = np.empty((Q.shape[0], self.config.rows), dtype=np.uint64)
+        R = self.config.hash_range
         for r0, r1, n0, slots in slot_blocks(self.config, Q):
-            out[n0 : n0 + slots.shape[0], r0:r1] = self._store.gather(self._row_keys(slots, r0))
+            out[n0 : n0 + slots.shape[0], r0:r1] = self._store.gather(flat_keys(slots, r0, R))
         return out
 
     def _check_nonempty(self) -> None:
@@ -370,9 +365,7 @@ class RaceSketch:
     # ------------------------------------------------------------ serialization
 
     def to_bytes(self) -> bytes:
-        counts = self._store.counters()[1]
-        top = int(np.maximum.reduce(counts)) if counts.size else 0
-        w = next(w for w in (1, 2, 4, 8) if top < 1 << (8 * w))  # narrowest that fits
+        w, payload = self._store.payload()
         header = _HEADER.pack(
             _MAGIC,
             _VERSION,
@@ -389,7 +382,6 @@ class RaceSketch:
             self._store.code,
             b"\x00\x00\x00",
         )
-        payload = self._store.payload(w)
         crc = zlib.crc32(payload, zlib.crc32(header))
         return b"".join((header, payload, _CRC.pack(crc)))
 

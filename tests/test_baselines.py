@@ -31,6 +31,23 @@ def test_exact_kde_matrix_and_list_agree():
     assert as_matrix == pytest.approx(as_list, rel=1e-12)
 
 
+def test_exact_kde_angular_matrix_and_list_agree():
+    """The srp matrix path (cosines against the stacked dataset) agrees with
+    the per-pair angles, and refuses a zero vector in the dataset or as the
+    query."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(50, 5))
+    q = DataVector.dense(rng.normal(size=5))
+    kernel = KernelEval(kind="srp", power=3)
+    as_list = exact_kde([DataVector.dense(r) for r in X], q, kernel)
+    assert exact_kde(X, q, kernel) == pytest.approx(as_list, rel=1e-12)
+    with pytest.raises(ValueError, match="zero vector"):
+        exact_kde(X, DataVector.dense(np.zeros(5)), kernel)
+    X[7] = 0.0
+    with pytest.raises(ValueError, match="zero vector"):
+        exact_kde(X, q, kernel)
+
+
 def test_exact_kde_summation_stability():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(100, 4))
@@ -63,6 +80,8 @@ def test_exact_half_power():
     kernel = KernelEval(kind="l2", sigma=1.0, power=2)
     base = KernelEval(kind="l2", sigma=1.0, power=1)
     assert exact_half_power(X, q, kernel) == pytest.approx(exact_kde(X, q, base))
+    with pytest.raises(ValueError, match="empty dataset"):
+        exact_half_power([], q, kernel)
 
 
 def test_reservoir_full_retention_is_exact():

@@ -155,3 +155,44 @@ def test_sparse_sketch_with_a_log_copies_and_pickles():
         assert other == s
         other.add(DataVector.dense(X[4]))
         assert other != s and other.to_bytes() != s.to_bytes()
+
+
+@pytest.mark.parametrize("store_cls", [DenseStore, SparseStore])
+def test_payload_width_is_the_narrowest_that_fits(store_cls):
+    """A store's payload takes the narrowest of 1, 2, 4 or 8 bytes that
+    holds its largest counter, and loads back at that width."""
+    keys = np.array([3, 9], dtype=np.uint64)
+    for top, width in ((0, 1), (255, 1), (256, 2), (2**16 - 1, 2), (2**16, 4),
+                       (2**32 - 1, 4), (2**32, 8), (2**64 - 1, 8)):
+        store = store_cls(2, 8)
+        store.add(keys, np.array([min(top, 1), top], dtype=np.uint64))
+        got, payload = store.payload()
+        assert got == width
+        loaded = store_cls.load(payload, 0, len(payload), 2, 8, width)
+        assert loaded.gather(keys).tolist() == [min(top, 1), top]
+
+
+def test_sparse_merge_is_one_union_of_sorted_counters():
+    """Merging sparse stores that hold a log and a staged delta, or a
+    sparse and a dense store, gives the summed counters at once: the result
+    holds neither a log nor a delta."""
+    cfg = LshConfig("l1", 6, 1.0, 1, 12, 5000, 4)
+    X = np.random.default_rng(12).normal(size=(40, 6))
+    parts = []
+    for part in (X[:20], X[20:]):
+        s = RaceSketch(cfg, "sparse")
+        s.add_matrix(part[:16])
+        s.raw_query_matrix(part[:1])
+        s.add(DataVector.dense(part[16]))
+        s.raw_query_matrix(part[:1])
+        for x in part[17:]:
+            s.add(DataVector.dense(x))
+        assert s._store._log and s._store.dkeys.size
+        parts.append(s)
+    dense = RaceSketch(cfg, "dense")
+    dense.add_matrix(X[20:])
+    joint = RaceSketch(cfg, "sparse")
+    joint.add_matrix(X)
+    for merged in (parts[0].merge(parts[1]), parts[0].merge(dense)):
+        assert not merged._store._log and not merged._store.dkeys.size
+        assert merged == joint and merged.to_bytes() == joint.to_bytes()

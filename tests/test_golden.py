@@ -184,8 +184,8 @@ def case_over_cap():
     cfg = LshConfig("l2", 20, 2.0, 2, 130, 700, 18)
     X = _dense_points(90, 20, 10)
     rng = np.random.default_rng(11)
-    sparse = [DataVector.sparse(20, np.sort(rng.choice(20, 8, replace=False)), rng.normal(size=8) + 3.0)
-              for _ in range(12)]
+    sparse = [DataVector.sparse(20, np.sort(rng.choice(20, 8, replace=False)),
+                                rng.normal(size=8) + 3.0) for _ in range(12)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lsh, "_MAX_COMPONENTS", 2000)
         s = _built(cfg, X[:80])
@@ -198,8 +198,8 @@ def case_over_cap():
 def case_hash_all_dense():
     """Single-item hashes of dense input under dense l2, srp and wide l1."""
     out = []
-    for cfg, X in ((DENSE_L2, _dense_points(20, 32, 12, scale=2.0)), (SRP, _dense_points(20, 64, 13)),
-                   (SPARSE_L1, _sparse_points(20, 14)[0])):
+    inputs = (_dense_points(20, 32, 12, scale=2.0), _dense_points(20, 64, 13), _sparse_points(20, 14)[0])
+    for cfg, X in zip((DENSE_L2, SRP, SPARSE_L1), inputs):
         out += [hash_all(cfg, DataVector.dense(x)).tobytes() for x in X]
     return out
 

@@ -81,6 +81,21 @@ def test_sparse_invariants():
         DataVector(3, [1.0, 2.0])  # dense length mismatch
 
 
+def test_malformed_vectors_rejected():
+    """A dimension below 1, values that are not one-dimensional, and sparse
+    indices and values of different lengths are refused."""
+    for dim in (0, -3):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            DataVector(dim, [])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        DataVector(4, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        DataVector.sparse(4, [[0, 1]], [[1.0, 2.0]])
+    for indices, values in (([0, 1], [1.0]), ([2], [1.0, 2.0])):
+        with pytest.raises(ValueError, match="same length"):
+            DataVector.sparse(4, indices, values)
+
+
 def test_immutable():
     x = DataVector.dense([1.0])
     with pytest.raises(AttributeError):
