@@ -14,8 +14,10 @@ srp, sparse wide l1), and the sparse store is covered through single
 ``to_bytes`` and ``raw_query_matrix``. Further cases cover srp, l2 and l1
 at powers 2 to 4, a power-1 chunk whose rows fold both by table and by
 mixing, an over-cap config whose row chunks cross its cap-sized blocks,
-single-item hashes of dense input, and sparse stores that hold a staged
-delta and a log of writes when they merge or serialize.
+single-item hashes of dense and of sparse input (with the per-row
+``srp_hash``/``pstable_hash``), sparse stores that hold a staged delta and a
+log of writes when they merge or serialize, and the float bits of the
+collision kernels.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ import struct
 import numpy as np
 import pytest
 
-from racekde import DataVector, LshConfig, RaceSketch, hash_all, hash_matrix, lsh
+from racekde import DataVector, LshConfig, RaceSketch, hash_all, hash_matrix, kernels, lsh
 
 DENSE_L2 = LshConfig("l2", 32, 2.0, 1, 256, 64, 11)
 SRP = LshConfig("srp", 64, 0.0, 4, 64, 16, 12)
@@ -204,6 +206,65 @@ def case_hash_all_dense():
     return out
 
 
+def case_hash_all_sparse():
+    """Single-item hashes of sparse input with 5 and 80 nonzeros under cached
+    srp, l2 and l1 configs at powers 1 and 3, and the per-row codes of the
+    same vectors at the first, a middle and the last row. The vectors hash
+    again after a dense hash has put the cached columns in dimension order."""
+    rng = np.random.default_rng(17)
+    vecs = [DataVector.sparse(400, np.sort(rng.choice(400, nnz, replace=False)),
+                              rng.normal(size=nnz) * 2.0)
+            for nnz in (5, 80) for _ in range(4)]
+    out = []
+    for kind, sigma, seed in (("srp", 0.0, 40), ("l2", 1.5, 41), ("l1", 4.0, 42)):
+        for power in (1, 3):
+            R = 2**power if kind == "srp" else 100_000
+            cfg = LshConfig(kind, 400, sigma, power, 48, R, seed + 10 * power)
+            out += [hash_all(cfg, x).tobytes() for x in vecs]
+            out.append(hash_all(cfg, DataVector.dense(vecs[-1].to_dense())).tobytes())
+            out += [hash_all(cfg, x).tobytes() for x in vecs]
+            for row in (0, 23, 47):
+                if kind == "srp":
+                    out += [struct.pack("<Q", lsh.srp_hash(cfg, x, row)) for x in vecs]
+                else:
+                    out += [np.array(lsh.pstable_hash(cfg, x, row)).tobytes() for x in vecs]
+    return out
+
+
+def _float_bits(v):
+    """The type name and float64 bits of a kernel's scalar or array result."""
+    return type(v).__name__.encode() + np.asarray(v, dtype=np.float64).tobytes()
+
+
+def case_kernel_values():
+    """The five collision functions and KernelEval.value/half_power for srp,
+    l2 and l1 at powers 1 to 3, with and without rehash_range, on a fixed
+    grid that includes distance 0, called on scalars and on arrays."""
+    angles = np.linspace(0.0, np.pi, 13)
+    dists = np.array([0.0, 1e-9, 1e-3, 0.1, 0.5, 1.0, 1.7, 3.0, 6.5, 20.0, 1e3, 1e9])
+    ks = np.array([0.0, 1e-300, 1e-6, 0.25, 0.5, 1.0 / 3.0, 0.9, 1.0 - 1e-12, 1.0])
+    out = [_float_bits(kernels.angular_collision(angles))]
+    out += [_float_bits(kernels.angular_collision(float(t))) for t in angles]
+    for fn in (kernels.l2_collision, kernels.l1_collision):
+        for sigma in (0.3, 1.0, 4.0):
+            out.append(_float_bits(fn(dists, sigma)))
+            out += [_float_bits(fn(float(c), sigma)) for c in dists]
+    for p in (1, 2, 3, 7):
+        out.append(_float_bits(kernels.apply_power(ks, p)))
+        out += [_float_bits(kernels.apply_power(float(k), p)) for k in ks]
+    for R in (2, 3, 64, 100_000):
+        out.append(_float_bits(kernels.rehash_adjust(ks, R)))
+        out += [_float_bits(kernels.rehash_adjust(float(k), R)) for k in ks]
+    for kind, sigma, grid in (("srp", None, angles), ("l2", 1.3, dists), ("l1", 2.5, dists)):
+        for power in (1, 2, 3):
+            for R in ((None,) if kind == "srp" else (None, 2, 64)):
+                k = kernels.KernelEval(kind, sigma, power, R)
+                out += [_float_bits(k.value(grid)), _float_bits(k.half_power(grid))]
+                out += [_float_bits(k.value(float(c))) for c in grid[::3]]
+                out += [_float_bits(k.half_power(float(c))) for c in grid[::3]]
+    return out
+
+
 STAGED = LshConfig("l1", 16, 1.0, 2, 40, 5000, 19)
 
 
@@ -255,12 +316,14 @@ CASES = {f.__name__[5:]: f for f in (
     case_dense_l2, case_srp, case_sparse_add_stream, case_sparse_window,
     case_sparse_matrix_updates, case_sparse_merge, case_storages_merge, case_srp_powers,
     case_l2_powers, case_l1_powers, case_l1_mixed_fold, case_over_cap, case_hash_all_dense,
-    case_staged_merge_chains, case_staged_to_bytes,
+    case_staged_merge_chains, case_staged_to_bytes, case_hash_all_sparse, case_kernel_values,
 )}
 
 DIGESTS = {
     "dense_l2": "93e3e0fca6482df322d1e7859f56169d265f600eb9febbbd48714b03b68aa967",
     "hash_all_dense": "3ff5a5eb03a2d12305dc26dab1f47ec960ba2383f31500f5a28465d936e0af1d",
+    "hash_all_sparse": "b7e7e18245305cd4335c259c7ef9b0016bed55edb87ede2db10b85310c95aa35",
+    "kernel_values": "7333f0ad912a18b4871ae2d926500bc724788649c7ed4e419d95a96636bf2cf7",
     "l1_mixed_fold": "3660565711698a2ce580ff821f2a188f94a43d6b7d295ff239bc6d98e91988b9",
     "l1_powers": "f42087916cab1512b60d868c01431e2bd88ce68850c1ab6b639541427787bee3",
     "l2_powers": "2d6d81d889608d31ece19ed4b85251303c1030c19844b8892c35fbf98add947c",
