@@ -95,10 +95,14 @@ class CompositeModel:
         lines = text.strip().splitlines()
         if not lines or lines[0] != "racekde-composite-model v1":
             raise ValueError("not a composite model document")
+        keys = ("kind", "sigma", "powers", "coefficients", "grid", "residual", "ridge")
         for line in lines[1:]:
             key, _, rest = line.partition(" ")
+            if key not in keys:
+                raise ValueError(f"composite model document has unknown key {key!r}")
+            if key in fields:
+                raise ValueError(f"composite model document repeats key {key!r}")
             fields[key] = rest
-        keys = ("kind", "sigma", "powers", "coefficients", "grid", "residual", "ridge")
         missing = [key for key in keys if key not in fields]
         if missing:
             raise ValueError(f"composite model document lacks {', '.join(missing)}")

@@ -103,6 +103,7 @@ def read_sparse(source: Source, dim: int) -> Iterator[DataVector]:
             tokens = tokens[1:]  # leading label, discarded
         indices = []
         values = []
+        prev = 0
         for tok in tokens:
             idx_s, sep, val_s = tok.partition(":")
             if not sep:
@@ -120,8 +121,9 @@ def read_sparse(source: Source, dim: int) -> Iterator[DataVector]:
                 raise DatasetFormatError(
                     lineno, f"index {idx} exceeds declared dimension {dim}"
                 )
-            if indices and idx - 1 <= indices[-1]:
+            if idx <= prev:
                 raise DatasetFormatError(lineno, "indices must be strictly increasing")
+            prev = idx
             if val != 0.0:
                 indices.append(idx - 1)
                 values.append(val)

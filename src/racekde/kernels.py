@@ -45,48 +45,48 @@ def angular_collision(theta: ArrayLike) -> ArrayLike:
     return float(out) if np.isscalar(theta) else out
 
 
+def _pstable(c: ArrayLike, sigma: float, k) -> ArrayLike:
+    """A p-stable collision probability at distance c: 1 at distance 0 and
+    k(d, sigma / d) at each distance d > 0, a float for scalar c."""
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    c_arr = np.asarray(c, dtype=np.float64)
+    if np.any(c_arr < 0):
+        raise ValueError("distance must be nonnegative")
+    safe = np.where(c_arr > 0, c_arr, 1.0)
+    out = np.where(c_arr == 0.0, 1.0, k(safe, sigma / safe))
+    return float(out) if np.isscalar(c) else out
+
+
 def l2_collision(c: ArrayLike, sigma: float) -> ArrayLike:
     """Collision probability of one Euclidean p-stable hash at distance c."""
     from scipy.special import erf  # slow to import; only this kernel needs it
 
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    c_arr = np.asarray(c, dtype=np.float64)
-    if np.any(c_arr < 0):
-        raise ValueError("distance must be nonnegative")
-    safe = np.where(c_arr > 0, c_arr, 1.0)
-    ratio = sigma / safe
-    k = -erf(-ratio / math.sqrt(2.0)) - (
-        2.0 * safe / (sigma * math.sqrt(2.0 * math.pi))
-    ) * (1.0 - np.exp(-0.5 * ratio**2))
-    out = np.where(c_arr == 0.0, 1.0, k)
-    return float(out) if np.isscalar(c) else out
+    return _pstable(c, sigma, lambda d, ratio: -erf(-ratio / math.sqrt(2.0)) - (
+        2.0 * d / (sigma * math.sqrt(2.0 * math.pi))
+    ) * (1.0 - np.exp(-0.5 * ratio**2)))
 
 
 def l1_collision(c: ArrayLike, sigma: float) -> ArrayLike:
     """Collision probability of one Manhattan p-stable hash at distance c."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    c_arr = np.asarray(c, dtype=np.float64)
-    if np.any(c_arr < 0):
-        raise ValueError("distance must be nonnegative")
-    safe = np.where(c_arr > 0, c_arr, 1.0)
-    ratio = sigma / safe
-    k = (2.0 / math.pi) * np.arctan(ratio) - (safe / (math.pi * sigma)) * np.log1p(
-        ratio**2
-    )
-    out = np.where(c_arr == 0.0, 1.0, k)
-    return float(out) if np.isscalar(c) else out
+    return _pstable(c, sigma, lambda d, ratio: (2.0 / math.pi) * np.arctan(ratio) - (
+        d / (math.pi * sigma)
+    ) * np.log1p(ratio**2))
+
+
+def _probability(k: ArrayLike) -> np.ndarray:
+    """k as a float64 array, refused unless every entry lies in [0, 1]."""
+    k_arr = np.asarray(k, dtype=np.float64)
+    if np.any(k_arr < 0) or np.any(k_arr > 1):
+        raise ValueError("k must lie in [0, 1]")
+    return k_arr
 
 
 def apply_power(k: ArrayLike, p: int) -> ArrayLike:
     """Collision probability of p concatenated hashes: k**p."""
     if p < 1:
         raise ValueError("power must be >= 1")
-    k_arr = np.asarray(k, dtype=np.float64)
-    if np.any(k_arr < 0) or np.any(k_arr > 1):
-        raise ValueError("k must lie in [0, 1]")
-    out = k_arr**p
+    out = _probability(k) ** p
     return float(out) if np.isscalar(k) else out
 
 
@@ -94,11 +94,8 @@ def rehash_adjust(k: ArrayLike, hash_range: int) -> ArrayLike:
     """Collision probability after rehashing to [0, R): k*(R-1)/R + 1/R."""
     if hash_range < 2:
         raise ValueError("hash_range must be >= 2")
-    k_arr = np.asarray(k, dtype=np.float64)
-    if np.any(k_arr < 0) or np.any(k_arr > 1):
-        raise ValueError("k must lie in [0, 1]")
     R = float(hash_range)
-    out = k_arr * (R - 1.0) / R + 1.0 / R
+    out = _probability(k) * (R - 1.0) / R + 1.0 / R
     return float(out) if np.isscalar(k) else out
 
 

@@ -445,9 +445,8 @@ def _state(
 ) -> _HashState:
     """(W, b, fold keys) of rows [row_start, row_stop) on the input
     dimensions ``dims``, or on every dimension when dims is None: read-only
-    views of the config's cached columns (a C-contiguous gathered copy for
-    ``dims``), generating those not seen yet, or freshly generated when cfg
-    is over the cap."""
+    views of the config's cached columns (gathered for ``dims``), generating
+    those not seen yet, or freshly generated when cfg is over the cap."""
     if cfg.rows * cfg.power * cfg.dim > _MAX_COMPONENTS:
         W = projection_block(cfg, row_start, row_stop, dims)
         return (W,) + _offsets_and_keys(cfg, row_start, row_stop)
@@ -459,12 +458,8 @@ def _state(
         _CACHE.move_to_end(cfg)
         if cache.ensure(dims):
             _evict()
-        if dims is None:
-            W = cache.cols[:, p0:p1].T
-        else:
-            # C-contiguous, as generated blocks are: the matmul then runs the
-            # same BLAS kernel, so the slots stay bit-identical.
-            W = cache.cols[cache.where[dims], p0:p1].T.copy()
+        rows = slice(None) if dims is None else cache.where[dims]
+        W = cache.cols[rows, p0:p1].T
     if cache.b is None:
         return W, None, None
     return W, cache.b[p0:p1], cache.keys[row_start:row_stop]

@@ -349,6 +349,19 @@ def test_non_finite_input_exits_two(data_dir, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["1:0 1:5", "3:0 2:1", "2:1 3:0 3:4"])
+def test_sparse_indices_out_of_order_exit_two(tmp_path, capsys, line):
+    sparse = tmp_path / "order.txt"
+    sparse.write_text(f"1:1.0\n{line}\n")
+    rc = main([
+        "sketch", "--input", str(sparse), "--format", "sparse", "--dim", "4",
+        "--kind", "l1", "--sigma", "1.0", "--rows", "8", "--range", "8",
+        "--output", str(tmp_path / "s.bin"),
+    ])
+    assert rc == 2
+    assert "line 2: indices must be strictly increasing" in _error_line(capsys)
+
+
 SCIPY_PROBE = r"""
 import json, sys
 import racekde

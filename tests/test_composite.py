@@ -204,6 +204,10 @@ def _model(**fields):
         ),
         # Each message below is unique, so every case keeps its own test id.
         (lambda: _loaded(powers="", coefficients=""), "powers must be nonempty"),
+        (lambda: CompositeModel.from_text(_model().to_text() + "powers 3 4\n"),
+         "^composite model document repeats key 'powers'$"),
+        (lambda: CompositeModel.from_text(_model().to_text() + "bogus 1\n"),
+         "^composite model document has unknown key 'bogus'$"),
         (lambda: _loaded(powers="0", coefficients="1.0"), "^powers must be positive$"),
         (lambda: _loaded(grid=""), "^grid must be nonempty$"),
         (lambda: _loaded(grid="0.0 nan"), "grid distances must be finite and nonnegative"),

@@ -67,6 +67,12 @@ def test_read_sparse_out_of_order_rejected():
         list(read_sparse(io.StringIO("3:1.0 2:1.0\n"), dim=4))
 
 
+@pytest.mark.parametrize("line", ["1:0 1:5", "3:0 2:1", "2:1 3:0 3:4"])
+def test_read_sparse_orders_indices_across_explicit_zeros(line):
+    with pytest.raises(DatasetFormatError, match="line 2: indices must be strictly increasing"):
+        list(read_sparse(io.StringIO(f"1:1.0\n{line}\n"), dim=4))
+
+
 def test_read_sparse_drops_explicit_zeros():
     vecs = list(read_sparse(io.StringIO("1:0.0 2:3.0\n"), dim=4))
     assert np.array_equal(vecs[0].indices, [1])
