@@ -91,6 +91,8 @@ class CompositeModel:
 
     @classmethod
     def from_text(cls, text: str) -> "CompositeModel":
+        """Parse a ``to_text`` document: the header line, then each key
+        exactly once; a missing, unknown or repeated key raises ValueError."""
         fields = {}
         lines = text.strip().splitlines()
         if not lines or lines[0] != "racekde-composite-model v1":

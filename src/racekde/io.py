@@ -6,7 +6,9 @@ Two text formats are supported:
   Blank lines and lines starting with '#' are skipped.
 * sparse -- per line, an optional leading label token (discarded) followed
   by index:value pairs. Indices are 1-BASED in the file and mapped to
-  0-based in memory; an index of 0 is a format error.
+  0-based in memory; an index of 0 is a format error. Indices strictly
+  increase along a line, counting pairs whose value is 0 (which are then
+  dropped).
 
 Readers stream: they yield one vector at a time and never buffer the file.
 Every value must be finite: ``nan`` or ``inf`` is a format error.

@@ -444,9 +444,10 @@ def _state(
     cfg: LshConfig, row_start: int, row_stop: int, dims: Optional[np.ndarray] = None
 ) -> _HashState:
     """(W, b, fold keys) of rows [row_start, row_stop) on the input
-    dimensions ``dims``, or on every dimension when dims is None: read-only
-    views of the config's cached columns (gathered for ``dims``), generating
-    those not seen yet, or freshly generated when cfg is over the cap."""
+    dimensions ``dims``, or on every dimension when dims is None: the
+    config's cached columns (a read-only view, or one gather of the ``dims``
+    columns), generating those not seen yet, or freshly generated when cfg
+    is over the cap."""
     if cfg.rows * cfg.power * cfg.dim > _MAX_COMPONENTS:
         W = projection_block(cfg, row_start, row_stop, dims)
         return (W,) + _offsets_and_keys(cfg, row_start, row_stop)
@@ -458,8 +459,8 @@ def _state(
         _CACHE.move_to_end(cfg)
         if cache.ensure(dims):
             _evict()
-        rows = slice(None) if dims is None else cache.where[dims]
-        W = cache.cols[rows, p0:p1].T
+        at = slice(None) if dims is None else cache.where[dims]
+        W = cache.cols[at, p0:p1].T
     if cache.b is None:
         return W, None, None
     return W, cache.b[p0:p1], cache.keys[row_start:row_stop]

@@ -67,12 +67,6 @@ def test_read_sparse_out_of_order_rejected():
         list(read_sparse(io.StringIO("3:1.0 2:1.0\n"), dim=4))
 
 
-@pytest.mark.parametrize("line", ["1:0 1:5", "3:0 2:1", "2:1 3:0 3:4"])
-def test_read_sparse_orders_indices_across_explicit_zeros(line):
-    with pytest.raises(DatasetFormatError, match="line 2: indices must be strictly increasing"):
-        list(read_sparse(io.StringIO(f"1:1.0\n{line}\n"), dim=4))
-
-
 def test_read_sparse_drops_explicit_zeros():
     vecs = list(read_sparse(io.StringIO("1:0.0 2:3.0\n"), dim=4))
     assert np.array_equal(vecs[0].indices, [1])
@@ -172,6 +166,10 @@ def test_non_finite_values_are_format_errors(token):
         (-2, "", ValueError, "declared dimension must be positive"),
         (4, "1:x\n", DatasetFormatError, "line 1: malformed token '1:x'"),
         (4, "1:1.0\nx:2.0\n", DatasetFormatError, "line 2: malformed token 'x:2.0'"),
+        # Explicit zeros are dropped, but their indices still order the line.
+        (4, "1:1.0\n1:0 1:5\n", DatasetFormatError, "line 2: indices must be strictly increasing"),
+        (4, "1:1.0\n3:0 2:1\n", DatasetFormatError, "line 2: indices must be strictly increasing"),
+        (4, "1:1.0\n2:1 3:0 3:4\n", DatasetFormatError, "line 2: indices must be strictly increasing"),
     ],
 )
 def test_read_sparse_refusals(dim, text, error, message):
