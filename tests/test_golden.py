@@ -16,8 +16,9 @@ at powers 2 to 4, a power-1 chunk whose rows fold both by table and by
 mixing, an over-cap config whose row chunks cross its cap-sized blocks,
 single-item hashes of dense and of sparse input (with the per-row
 ``srp_hash``/``pstable_hash``), sparse stores that hold a staged delta and a
-log of writes when they merge or serialize, and the float bits of the
-collision kernels.
+log of writes when they merge or serialize, the float bits of the
+collision kernels, and batches of densified sparse points, most of whose
+columns are all zero, under cached and over-cap configs.
 """
 
 import hashlib
@@ -265,6 +266,35 @@ def case_kernel_values():
     return out
 
 
+def case_batch_used_columns():
+    """hash_matrix, add_matrix, raw_query_matrix and remove_matrix of a batch
+    of densified sparse points (about 30 nonzeros from one of 8 pools of 50
+    dimensions, and one all-zero row) whose other columns are all zero, and
+    hash_matrix of an all-zero batch, under srp, l2 and l1 configs both
+    cached and over a shrunken projection cap."""
+    rng = np.random.default_rng(18)
+    dim = 2000
+    pools = [rng.choice(dim, size=50, replace=False) for _ in range(8)]
+    X = np.zeros((300, dim))
+    for i in range(300):
+        idx = rng.choice(pools[rng.integers(8)], size=int(rng.integers(25, 36)), replace=False)
+        X[i, idx] = rng.normal(size=idx.size) + 1.0
+    X[37] = 0.0
+    cfgs = [LshConfig("srp", dim, 0.0, 3, 40, 8, 43), LshConfig("l2", dim, 2.5, 1, 40, 500, 44),
+            LshConfig("l2", dim, 2.5, 3, 40, 100_000, 45), LshConfig("l1", dim, 20.0, 2, 40, 100_000, 46)]
+    out = []
+    for cap in (lsh._MAX_COMPONENTS, 30_000):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lsh, "_MAX_COMPONENTS", cap)
+            for cfg in cfgs:
+                s = _built(cfg, X[:250])
+                out += [hash_matrix(cfg, X).tobytes(), s.to_bytes(),
+                        s.raw_query_matrix(X[250:]).tobytes()]
+                s.remove_matrix(X[50:150])
+                out += [s.to_bytes(), hash_matrix(cfg, np.zeros((5, dim))).tobytes()]
+    return out
+
+
 STAGED = LshConfig("l1", 16, 1.0, 2, 40, 5000, 19)
 
 
@@ -317,9 +347,11 @@ CASES = {f.__name__[5:]: f for f in (
     case_sparse_matrix_updates, case_sparse_merge, case_storages_merge, case_srp_powers,
     case_l2_powers, case_l1_powers, case_l1_mixed_fold, case_over_cap, case_hash_all_dense,
     case_staged_merge_chains, case_staged_to_bytes, case_hash_all_sparse, case_kernel_values,
+    case_batch_used_columns,
 )}
 
 DIGESTS = {
+    "batch_used_columns": "9e9ca1ca6ad563a2aaf2a08916807fc650eff32077b0c7f7a3116f517b482158",
     "dense_l2": "93e3e0fca6482df322d1e7859f56169d265f600eb9febbbd48714b03b68aa967",
     "hash_all_dense": "3ff5a5eb03a2d12305dc26dab1f47ec960ba2383f31500f5a28465d936e0af1d",
     "hash_all_sparse": "b7e7e18245305cd4335c259c7ef9b0016bed55edb87ede2db10b85310c95aa35",
