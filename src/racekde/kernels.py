@@ -37,9 +37,10 @@ ArrayLike = Union[float, np.ndarray]
 
 
 def angular_collision(theta: ArrayLike) -> ArrayLike:
-    """Collision probability of one signed random projection: 1 - theta/pi."""
+    """Collision probability of one signed random projection: 1 - theta/pi.
+    An angle outside [0, pi], NaN included, raises ValueError."""
     t = np.asarray(theta, dtype=np.float64)
-    if np.any(t < 0) or np.any(t > math.pi):
+    if not np.all((t >= 0) & (t <= math.pi)):
         raise ValueError("theta must lie in [0, pi]")
     out = 1.0 - t / math.pi
     return float(out) if np.isscalar(theta) else out
@@ -47,14 +48,22 @@ def angular_collision(theta: ArrayLike) -> ArrayLike:
 
 def _pstable(c: ArrayLike, sigma: float, k) -> ArrayLike:
     """A p-stable collision probability at distance c: 1 at distance 0 and
-    k(d, sigma / d) at each distance d > 0, a float for scalar c."""
+    k(d, sigma / d) at each distance d > 0, a float for scalar c.
+
+    Where a term of k passes the float range (at an infinite distance, and
+    at distances many orders of magnitude from sigma), the value is k's
+    limit there: 0 above sigma, 1 below. A negative or NaN distance raises
+    ValueError."""
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     c_arr = np.asarray(c, dtype=np.float64)
-    if np.any(c_arr < 0):
-        raise ValueError("distance must be nonnegative")
+    if not np.all(c_arr >= 0):
+        raise ValueError("distance must be nonnegative, not NaN")
     safe = np.where(c_arr > 0, c_arr, 1.0)
-    out = np.where(c_arr == 0.0, 1.0, k(safe, sigma / safe))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = k(safe, sigma / safe)
+    out = np.where(np.isfinite(out), out, safe < sigma)
+    out = np.where(c_arr == 0.0, 1.0, out)
     return float(out) if np.isscalar(c) else out
 
 
@@ -77,7 +86,7 @@ def l1_collision(c: ArrayLike, sigma: float) -> ArrayLike:
 def _probability(k: ArrayLike) -> np.ndarray:
     """k as a float64 array, refused unless every entry lies in [0, 1]."""
     k_arr = np.asarray(k, dtype=np.float64)
-    if np.any(k_arr < 0) or np.any(k_arr > 1):
+    if not np.all((k_arr >= 0) & (k_arr <= 1)):
         raise ValueError("k must lie in [0, 1]")
     return k_arr
 

@@ -15,24 +15,30 @@ peaks at twice its size. Each config has one read-only projection cache,
 next to its offsets and fold keys: the projection column of an input
 dimension is generated the first time a hash uses it and kept. A sparse
 hash gathers its nnz columns and costs O(nnz * rows * power), so a config
-hashed only sparse holds the dimensions seen rather than dim. A dense hash
-asks for every column, which puts them in dimension order once; the cached
-columns are then the whole projection matrix W. Only configs whose
-rows * power * dim fits a 4e6-component cap are cached, and the same cap
-bounds the cache's total, evicting the least recently used config; larger
-configs generate the projections of each row chunk on every call. scipy,
-slow to import, is loaded only to draw srp/l2 projections.
+hashed only sparse holds the dimensions seen rather than dim. A batch
+(:func:`hash_matrix`, and the sketch's ``add_matrix``, ``remove_matrix``
+and ``raw_query_matrix``) asks in the same way for the columns it uses,
+those holding a nonzero in some point (:func:`check_points` finds them),
+and costs O(n * used columns * rows * power). A single dense hash, and a
+batch that uses every column, ask for every column, which puts them in
+dimension order once; the cached columns are then the whole projection
+matrix W. Only configs whose rows * power * dim fits a 4e6-component cap
+are cached, and the same cap bounds the cache's total, evicting the least
+recently used config; larger configs generate the projections of each row
+chunk on every call. scipy, slow to import, is loaded only to draw srp/l2
+projections.
 
 Every hash runs one chunk loop, :func:`slot_blocks`: row chunks outside,
 each fetching its projections, offsets and fold keys once (generating them
 when the config is not cached), and point chunks inside. A chunk is up to
 a few hundred points by as many rows as keep it within 65,536 slots
 (0.5 MiB of float64) and twice that many projections, and never more rows
-than keep their power * width projection components (width is dim, or a
-sparse input's nnz) within the 4e6 cap, nor fewer than one; for inputs
-wider than a few hundred dimensions, each side spans at least the width,
-so the matmul stays efficient. Every temporary of a hash step is
-chunk-sized, so none grows with the number of points in the call.
+than keep their power * width projection components (width is dim, a
+sparse input's nnz, or a batch's used columns) within the 4e6 cap, nor
+fewer than one; for inputs wider than a few hundred dimensions, each side
+spans at least the width, so the matmul stays efficient. Every temporary of
+a hash step is chunk-sized, the gather of a point chunk's used columns
+included, so none grows with the number of points in the call.
 
 The p-stable code tuples have unbounded range and are folded to a finite
 slot range with a seeded universal-style hash ("rehashing"). The variant
@@ -510,8 +516,8 @@ def slots_for_block(
 
 def _row_block_size(cfg: LshConfig, width: int) -> int:
     """The most rows of a chunk or of a hash_blocks block: as many as fit
-    the projection cap at this width (dim, or a sparse input's nnz), at
-    least one."""
+    the projection cap at this width (dim, a sparse input's nnz, or a
+    batch's used columns), at least one."""
     return max(1, min(cfg.rows, _MAX_COMPONENTS // (cfg.power * max(width, 1))))
 
 
@@ -535,7 +541,7 @@ def _aligned(k: int) -> int:
 
 def _chunk_shape(cfg: LshConfig, n: int, width: int) -> Tuple[int, int]:
     """(points, rows) of the chunks of n points, for inputs of the given
-    width (dim, or a sparse input's nnz).
+    width (dim, a sparse input's nnz, or a batch's used columns).
 
     A chunk holds at most ``_CHUNK_ITEM_ROWS`` slots and twice that many
     projections: about the square root of that many points (more when the
@@ -559,43 +565,57 @@ def slot_blocks(
 ) -> Iterator[Tuple[int, int, int, np.ndarray]]:
     """Yield (row_start, row_stop, point_start, slots): the uint64 slots
     on rows [row_start, row_stop) of a chunk of points of the checked
-    float64 matrix X, from point_start on. X's columns are the input
-    dimensions ``dims`` (every dimension when None). Chunks have the shape
-    of :func:`_chunk_shape`: the outer loop walks row chunks, each fetching
-    its own projections, the inner loop walks point chunks."""
+    float64 matrix X, from point_start on, hashed against the input
+    dimensions ``dims`` (every dimension when None). X's columns are
+    those dimensions, or every dimension: then each point chunk takes its
+    ``dims`` columns, so the gather stays chunk-sized. Chunks have the
+    shape of :func:`_chunk_shape`: the outer loop walks row chunks, each
+    fetching its own projections, the inner loop walks point chunks."""
     n, width = X.shape
+    cols = None
+    if dims is not None and dims.size < width:
+        cols, width = dims, dims.size
     points, rows = _chunk_shape(cfg, n, width)
     for r0 in range(0, cfg.rows, rows):
         r1 = min(cfg.rows, r0 + rows)
         W, b, keys = _state(cfg, r0, r1, dims)
         for n0 in range(0, n, points):
-            yield r0, r1, n0, slots_for_block(cfg, X[n0 : n0 + points], W, b, keys)
+            block = X[n0 : n0 + points] if cols is None else X[n0 : n0 + points, cols]
+            yield r0, r1, n0, slots_for_block(cfg, block, W, b, keys)
 
 
-def check_points(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
+def check_points(cfg: LshConfig, X: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """X as a float64 matrix of finite points of cfg's dimension, one per
-    row; raises TypeError for complex X, DimensionMismatchError or
-    NonFiniteInputError otherwise."""
+    row, and the columns it uses: the sorted indices of the columns that
+    hold a nonzero, or None when every column does. Raises TypeError for
+    complex X, DimensionMismatchError or NonFiniteInputError otherwise.
+
+    A batch hashes against its used columns only (see :func:`slot_blocks`),
+    as a sparse vector does against its nonzeros: an all-zero column adds
+    nothing to any projection."""
     X = as_real(X)
     if X.ndim != 2 or X.shape[1] != cfg.dim:
         raise DimensionMismatchError(
             f"expected points of dimension {cfg.dim}, got shape {X.shape}"
         )
     check_finite(X)
-    return X
+    used = X.any(axis=0)
+    return X, None if used.all() else np.flatnonzero(used)
 
 
 def hash_matrix(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
     """Slot indices for every (point, row) pair; X is (n, dim) dense.
 
-    Returns a uint64 array of shape (n, rows) with entries in
-    [0, hash_range).
+    The points hash against the columns of X that hold a nonzero, so a
+    batch costs O(n * used columns * rows * power). Returns a uint64 array
+    of shape (n, rows) with entries in [0, hash_range).
     """
-    return _slots(cfg, check_points(cfg, X))
+    return _slots(cfg, *check_points(cfg, X))
 
 
 def _slots(cfg: LshConfig, X: np.ndarray, dims: Optional[np.ndarray] = None) -> np.ndarray:
-    """Slots (n, rows) of a checked float64 matrix X, as in slot_blocks."""
+    """Slots (n, rows) of a checked float64 matrix X against the input
+    dimensions dims, as in slot_blocks."""
     out = np.empty((X.shape[0], cfg.rows), dtype=np.uint64)
     for r0, r1, n0, slots in slot_blocks(cfg, X, dims):
         out[n0 : n0 + slots.shape[0], r0:r1] = slots

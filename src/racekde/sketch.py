@@ -223,10 +223,10 @@ class RaceSketch:
         (any touched counter at zero)."""
         self._update(x, -1, self._store.subtract)
 
-    def _tallies(self, X: np.ndarray):
-        """(flat keys, counts) of the checked points X, one pair per chunk
-        of ``slot_blocks``."""
-        for r0, _r1, _n0, slots in slot_blocks(self.config, X):
+    def _tallies(self, X: np.ndarray, dims: Optional[np.ndarray]):
+        """(flat keys, counts) of the checked points X hashed against the
+        columns dims, one pair per chunk of ``slot_blocks``."""
+        for r0, _r1, _n0, slots in slot_blocks(self.config, X, dims):
             yield tally(slots, r0, self.config.hash_range)
 
     def _update_matrix(self, X: np.ndarray, sign: int, apply, undo) -> None:
@@ -234,25 +234,30 @@ class RaceSketch:
         X chunk by chunk, all or nothing: when a chunk raises (an l2/l1 hash
         code past int64, or a counter underflow), those applied before it are
         hashed again and undone; no copy of the counters is kept."""
-        X = check_points(self.config, X)
+        X, dims = check_points(self.config, X)
         items = self._counted(sign * X.shape[0])
         done = 0
         try:
-            for block in self._tallies(X):
+            for block in self._tallies(X, dims):
                 apply(*block)
                 done += 1
         except (OverflowError, UnmatchedDeletionError):
-            for block in itertools.islice(self._tallies(X), done):
+            for block in itertools.islice(self._tallies(X, dims), done):
                 undo(*block)
             raise
         self.items = items
 
     def add_matrix(self, X: np.ndarray) -> None:
-        """Bulk insert of dense points, one per matrix row; all or nothing."""
+        """Bulk insert of dense points, one per matrix row; all or nothing.
+
+        The points hash against the columns of X that hold a nonzero, as in
+        ``lsh.hash_matrix``, so a batch of densified sparse points costs
+        O(n * used columns * rows * power), not O(n * dim * rows * power)."""
         self._update_matrix(X, 1, self._store.add, self._store.subtract)
 
     def remove_matrix(self, X: np.ndarray) -> None:
-        """Bulk delete of previously-added dense points; all or nothing."""
+        """Bulk delete of previously-added dense points; all or nothing.
+        The points hash against their used columns, as in ``add_matrix``."""
         self._update_matrix(X, -1, self._store.subtract, self._store.add)
 
     # ------------------------------------------------------------------ merge
@@ -293,12 +298,13 @@ class RaceSketch:
 
     def raw_query_matrix(self, Q: np.ndarray) -> np.ndarray:
         """Counters for a batch of dense queries; shape (n, rows), gathered
-        chunk by chunk of ``slot_blocks``."""
-        Q = check_points(self.config, Q)
+        chunk by chunk of ``slot_blocks``. The queries hash against the
+        columns of Q that hold a nonzero, as in ``lsh.hash_matrix``."""
+        Q, dims = check_points(self.config, Q)
         self._check_nonempty()
         out = np.empty((Q.shape[0], self.config.rows), dtype=np.uint64)
         R = self.config.hash_range
-        for r0, r1, n0, slots in slot_blocks(self.config, Q):
+        for r0, r1, n0, slots in slot_blocks(self.config, Q, dims):
             out[n0 : n0 + slots.shape[0], r0:r1] = self._store.gather(flat_keys(slots, r0, R))
         return out
 

@@ -149,6 +149,41 @@ def test_kernel_range_checks(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: l2_collision(math.nan, 1.0),
+        lambda: l1_collision(np.array([1.0, math.nan]), 2.0),
+        lambda: KernelEval(kind="l2", sigma=1.0).value(math.nan),
+        lambda: angular_collision(math.nan),
+        lambda: KernelEval(kind="srp").half_power(np.array([0.1, math.nan])),
+        lambda: apply_power(math.nan, 2),
+        lambda: rehash_adjust(np.array([0.5, math.nan]), 4),
+    ],
+    ids=["l2", "l1-array", "l2-value", "angular", "srp-half-power", "apply_power", "rehash_adjust"],
+)
+def test_kernels_refuse_nan(call):
+    with pytest.raises(ValueError, match="not NaN|must lie in"):
+        call()
+
+
+@pytest.mark.parametrize("fn", [l2_collision, l1_collision])
+def test_pstable_kernels_take_their_limits_where_the_formula_overflows(fn):
+    """An infinite distance gives 0, and so does a finite one so far above
+    sigma that a term overflows (where none does, the value at 1e308 is
+    tiny); a subnormal or tiny distance gives 1; no warning escapes."""
+    for sigma in (0.1, 1.0, 4.0):
+        assert fn(math.inf, sigma) == 0.0 and type(fn(math.inf, sigma)) is float
+        assert 0.0 <= fn(1e308, sigma) < 1e-300
+        assert fn(5e-324, sigma) == 1.0 and fn(1e-200, sigma) == 1.0
+        far = np.array([0.0, 1.0, 1e308, math.inf, 1e-200])
+        out = fn(far, sigma)
+        assert np.array_equal(out, [1.0, fn(1.0, sigma), fn(1e308, sigma), 0.0, 1.0])
+    assert KernelEval(kind="l2", sigma=1.0).value(1e308) == 0.0
+    assert KernelEval(kind="l1", sigma=0.1, power=2).value(math.inf) == 0.0
+    assert KernelEval(kind="l2", sigma=1.0, rehash_range=4).value(math.inf) == 0.25
+
+
 def test_mc_collision_refuses_bad_trials_and_dimensions():
     cfg = LshConfig("l2", 3, 1.0, 1, 4, 16, 2)
     x = DataVector.dense([1.0, 0.0, 0.0])

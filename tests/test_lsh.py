@@ -509,6 +509,50 @@ def test_column_cache_memory_follows_seen_columns(cache):
         assert entry.count <= entry.cols.shape[0] <= 2 * entry.count
     assert cached_components() == len(seen) * cfg.rows * cfg.power
 
+    # A config hashed only in batches caches the columns they use, and a
+    # dense hash still puts its columns in dimension order.
+    batch_cfg = replace(cfg, seed=5)
+    used = rng.choice(5000, size=40, replace=False)
+    X = np.zeros((30, 5000))
+    X[:, used] = rng.normal(size=(30, 40))
+    for k in (25, 40):
+        part = np.zeros_like(X)
+        part[:, used[:k]] = X[:, used[:k]]
+        hash_matrix(batch_cfg, part)
+        assert cache[batch_cfg].components == k * cfg.rows * cfg.power
+    before = hash_matrix(batch_cfg, X)
+    hash_matrix(batch_cfg, rng.normal(size=(2, 5000)))
+    assert cache[batch_cfg].components == all_components(batch_cfg)
+    assert np.array_equal(cache[batch_cfg].cols.T, projection_block(batch_cfg, 0, cfg.rows))
+    assert np.array_equal(hash_matrix(batch_cfg, X), before)
+
+
+@pytest.mark.parametrize("kind", ["srp", "l2", "l1"])
+def test_batches_hash_against_their_used_columns(kind):
+    """hash_matrix of batches with all-zero columns (some with all-zero
+    rows too, one with a single used column, one all zero) equals the
+    per-point hash_all of their sparse vectors and the slots of the
+    full-width product, in every cache mode; an empty batch gives shape
+    (0, rows)."""
+    cfg = kind_cfg(kind)
+    rng = np.random.default_rng(21)
+    mostly_zero = rng.normal(size=(9, 16)) * (rng.random((9, 16)) < 0.5)
+    mostly_zero[:, [0, 5, 6, 11, 12]] = 0.0
+    mostly_zero[[2, 7]] = 0.0
+    one_column = np.zeros((4, 16))
+    one_column[:, 9] = rng.normal(size=4)
+    for mode in CACHE_MODES:
+        with cache_mode(mode):
+            for X in (mostly_zero, one_column, np.zeros((3, 16))):
+                assert np.array_equal(lsh.check_points(cfg, X)[1], np.flatnonzero(X.any(axis=0)))
+                want = fresh_slots(cfg, X)
+                assert np.array_equal(hash_matrix(cfg, X), want)
+                vecs = [DataVector.sparse(16, np.flatnonzero(x), x[x != 0]) for x in X]
+                assert np.array_equal([hash_all(cfg, x) for x in vecs], want)
+            empty = hash_matrix(cfg, np.zeros((0, 16)))
+            assert empty.shape == (0, cfg.rows) and empty.dtype == np.uint64
+        assert lsh.check_points(cfg, rng.normal(size=(3, 16)))[1] is None
+
 
 def test_plan_is_read_only_and_isolated(cache):
     # A dense hash caches every column, put in dimension order.

@@ -569,14 +569,34 @@ def test_small_chunks_match_per_point_updates(case, hash_range, storage, monkeyp
     assert bulk.to_bytes() == loop.to_bytes()
 
 
-def test_bulk_add_memory_does_not_grow_with_the_points():
+def _dense_batch():
+    return LshConfig("l2", 32, 2.0, 1, 2000, 64, 7), np.random.default_rng(43).normal(size=(4000, 32))
+
+
+def _mostly_zero_batch():
+    """A 5000-wide batch whose points hold about 20 nonzeros from one of 8
+    pools of 30 columns, all in the first 512 columns: the pages np.zeros
+    leaves unwritten stay unbacked, so the matrix is small in memory."""
+    rng = np.random.default_rng(44)
+    pools = rng.choice(512, size=(8, 30), replace=False)
+    X = np.zeros((4000, 5000))
+    for i in range(4000):
+        idx = rng.choice(pools[rng.integers(8)], size=20, replace=False)
+        X[i, idx] = rng.normal(size=20)
+    return LshConfig("l1", 5000, 20.0, 1, 768, 64, 8), X
+
+
+def _check_bulk_add_peaks(cfg, X):
     """A warm add_matrix peaks at the same traced allocation for 250 and for
     4000 points: at most four chunk-sized buffers (the projections, reused
     for the codes, the table positions, the slots and the chunk before's
-    slots) plus two counter tallies of a chunk."""
-    cfg = LshConfig("l2", 32, 2.0, 1, 2000, 64, 7)
-    X = np.random.default_rng(43).normal(size=(4000, 32))
-    RaceSketch(cfg).add_matrix(X[:10])  # fills the projection cache
+    slots) plus two counter tallies of a chunk, and, for a batch with
+    all-zero columns, one chunk of its used columns and their cached
+    projections on a row chunk."""
+    dims = lsh.check_points(cfg, X)[1]
+    width = cfg.dim if dims is None else dims.size
+    assert dims is None or np.array_equal(lsh.check_points(cfg, X[:250])[1], dims)
+    RaceSketch(cfg).add_matrix(X)  # fills the projection cache
     peaks = []
     for n in (250, 4000):
         s = RaceSketch(cfg)
@@ -587,25 +607,36 @@ def test_bulk_add_memory_does_not_grow_with_the_points():
         finally:
             tracemalloc.stop()
     chunk = 8 * lsh._CHUNK_ITEM_ROWS
-    points, rows = lsh._chunk_shape(cfg, 4000, cfg.dim)
-    assert max(peaks) <= 4 * chunk + 2 * 8 * rows * cfg.hash_range
+    points, rows = lsh._chunk_shape(cfg, 4000, width)
+    gathers = 0 if dims is None else 8 * (points + rows * cfg.power) * width
+    assert max(peaks) <= 4 * chunk + gathers + 2 * 8 * rows * cfg.hash_range
     assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
 
 
-@pytest.mark.parametrize("storage", ["dense", "sparse"])
-def test_failed_bulk_updates_leave_the_sketch_unchanged(storage, monkeypatch):
+def test_bulk_add_memory_does_not_grow_with_the_points():
+    _check_bulk_add_peaks(*_dense_batch())
+
+
+def test_bulk_add_memory_of_a_mostly_zero_batch_does_not_grow_with_the_points():
+    _check_bulk_add_peaks(*_mostly_zero_batch())
+
+
+def _check_failed_bulk_updates(storage, zero_columns, monkeypatch):
     """add_matrix and remove_matrix that fail in a later point chunk undo
     the chunks applied before it."""
     cfg = l2_cfg(rows=20, hash_range=64)
     s = RaceSketch(cfg, storage)
     X = np.random.default_rng(29).normal(size=(9, 6))
+    X[:, zero_columns] = 0.0
     s.add_matrix(X[:8])
     before = s.to_bytes()
     monkeypatch.setattr(lsh, "_MAX_COMPONENTS", 7 * cfg.dim)  # 7-row blocks
     monkeypatch.setattr(lsh, "_CHUNK_ITEM_ROWS", 2 * 7)  # 3-point chunks
-    assert [n0 for r0, _r1, n0, _ in lsh.slot_blocks(cfg, X) if r0 == 0] == [0, 3, 6]
+    dims = lsh.check_points(cfg, X)[1]
+    assert (dims is None) == (not zero_columns)
+    assert [n0 for r0, _r1, n0, _ in lsh.slot_blocks(cfg, X, dims) if r0 == 0] == [0, 3, 6]
     huge = X.copy()
-    huge[7] = 1e30  # its codes pass 2**63
+    huge[7][X[7] != 0] = 1e30  # its codes pass 2**63
     with pytest.raises(OverflowError, match="hash code exceeds 64 bits"):
         s.add_matrix(huge)
     assert s.to_bytes() == before
@@ -617,6 +648,17 @@ def test_failed_bulk_updates_leave_the_sketch_unchanged(storage, monkeypatch):
     assert s.to_bytes() == before
     s.remove_matrix(X[:8])
     assert s.items == 0 and s == RaceSketch(cfg, storage)
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_failed_bulk_updates_leave_the_sketch_unchanged(storage, monkeypatch):
+    _check_failed_bulk_updates(storage, [], monkeypatch)
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_failed_bulk_updates_of_a_mostly_zero_batch_leave_the_sketch_unchanged(storage, monkeypatch):
+    """As above, for points hashed against their used columns only."""
+    _check_failed_bulk_updates(storage, [1, 4], monkeypatch)
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (6,), (2, 3, 6)])
