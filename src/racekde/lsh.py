@@ -613,7 +613,7 @@ def hash_matrix(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
     return _slots(cfg, *check_points(cfg, X))
 
 
-def _slots(cfg: LshConfig, X: np.ndarray, dims: Optional[np.ndarray] = None) -> np.ndarray:
+def _slots(cfg: LshConfig, X: np.ndarray, dims: Optional[np.ndarray]) -> np.ndarray:
     """Slots (n, rows) of a checked float64 matrix X against the input
     dimensions dims, as in slot_blocks."""
     out = np.empty((X.shape[0], cfg.rows), dtype=np.uint64)
