@@ -18,7 +18,9 @@ single-item hashes of dense and of sparse input (with the per-row
 ``srp_hash``/``pstable_hash``), sparse stores that hold a staged delta and a
 log of writes when they merge or serialize, the float bits of the
 collision kernels, and batches of densified sparse points, most of whose
-columns are all zero, under cached and over-cap configs.
+columns are all zero, under cached and over-cap configs. One case takes
+every way a write reaches the counters: single adds and removes, and bulk
+updates of wide, deep and one-point chunks, into dense and sparse stores.
 """
 
 import hashlib
@@ -342,12 +344,42 @@ def case_staged_to_bytes():
     return out + [s.to_bytes(), s.raw_query_matrix(X[170:]).tobytes()]
 
 
+def case_store_counting():
+    """Every way a write reaches the counters: sliding windows of single
+    adds and removes under dense l2 (range 64) and srp, read between
+    updates; and add_matrix/remove_matrix of wide chunks (more points than
+    slots in a row), deep chunks (an auto-dense range of 4000) and one-point
+    batches, under dense l2, srp and a sparse store at range 8."""
+    X = _dense_points(720, 16, 20)
+    l2, srp = LshConfig("l2", 16, 2.0, 1, 256, 64, 20), LshConfig("srp", 16, 0.0, 3, 200, 8, 21)
+    out = []
+    for cfg in (l2, srp):
+        s = RaceSketch(cfg)
+        for t, x in enumerate(X[:150]):
+            s.add(DataVector.dense(x))
+            if t >= 40:
+                s.remove(DataVector.dense(X[t - 40]))
+            if t % 29 == 0:
+                out.append(s.raw_query_matrix(X[700:]).tobytes())
+        out.append(s.to_bytes())
+    deep = LshConfig("l2", 16, 1.0, 1, 40, 4000, 22)
+    narrow = LshConfig("l2", 16, 2.0, 1, 60, 8, 23)
+    for cfg, storage in ((l2, "auto"), (srp, "auto"), (deep, "auto"), (narrow, "sparse")):
+        s = _built(cfg, X[:600], storage)
+        out += [s.to_bytes(), s.raw_query_matrix(X[700:]).tobytes()]
+        s.remove_matrix(X[100:400])
+        s.add_matrix(X[600:601])
+        s.remove_matrix(X[:1])
+        out += [s.to_bytes(), s.raw_query_matrix(X[700:]).tobytes()]
+    return out
+
+
 CASES = {f.__name__[5:]: f for f in (
     case_dense_l2, case_srp, case_sparse_add_stream, case_sparse_window,
     case_sparse_matrix_updates, case_sparse_merge, case_storages_merge, case_srp_powers,
     case_l2_powers, case_l1_powers, case_l1_mixed_fold, case_over_cap, case_hash_all_dense,
     case_staged_merge_chains, case_staged_to_bytes, case_hash_all_sparse, case_kernel_values,
-    case_batch_used_columns,
+    case_batch_used_columns, case_store_counting,
 )}
 
 DIGESTS = {
@@ -369,6 +401,7 @@ DIGESTS = {
     "staged_merge_chains": "e34d7cadf72042c137266b99a267b19e107502fdca7936c36d38f9ea7d8df1ca",
     "staged_to_bytes": "43d4e494de17e45c13b29b2c1a2646ba0e39a7205c3551b78081f5ed1e0c1c1c",
     "storages_merge": "1127055c7ed75a0c2e32a0ac52e66bf96c4c73b4ba920a823d350496bbd27316",
+    "store_counting": "09a970c845619989a01956fb29cd47a1eabf847b1993838ce433e0bb8b38eae8",
 }
 
 
