@@ -1,45 +1,50 @@
 """Counter stores of a RACE sketch: the dense grid and the sorted sparse keys.
 
-This module owns the counter layout. Counter (row, slot) of an L x R grid
-has the flat key ``row * R + slot``, a uint64: :func:`flat_keys` turns a
-chunk of hashed slots into flat keys, :func:`tally` counts a chunk's flat
-keys, and each store decodes them again into its file payload.
+This module owns the counter layout and counts the writes. Counter
+(row, slot) of an L x R grid has the flat key ``row * R + slot``, a uint64:
+:func:`flat_keys` turns a chunk of hashed slots into flat keys, a store
+counts them as it gets them, and each store decodes them again into its
+file payload.
 
 A store holds the L x R counters of one sketch behind one small interface,
 written once for both layouts: ``gather`` the counters at flat keys,
 ``add`` or ``subtract`` counts at flat keys, list the ``counters``, the
 ``merged`` sum with another store, and the ``payload`` of the sketch file.
-Flat keys are passed as a uint64 array, sorted and unique, or as a slice
-over a run of flat keys with a count for each key in it, zeros included;
-``counters()`` returns one of these two forms. ``payload()`` picks the
-narrowest counter width of 1, 2, 4 or 8 bytes that fits the largest
-counter and returns it with the bytes, so the counters are read once.
+A write takes a uint64 array of flat keys of any shape and order, a key
+repeated once for each point that hit it, with one count for every key or
+an array of counts of the keys' shape. ``counters()`` returns a sorted unique
+uint64 array of keys, or a slice over a run of flat keys, with a count for
+each key, zeros included in a slice. ``payload()`` picks the narrowest
+counter width of 1, 2, 4 or 8 bytes that fits the largest counter and
+returns it with the bytes, so the counters are read once.
 
-* ``DenseStore`` keeps every counter in one (rows, R) uint64 array.
+* ``DenseStore`` keeps every counter in one (rows, R) uint64 array and
+  counts a write with ``np.add.at`` or ``np.subtract.at``.
 * ``SparseStore`` keeps the nonzero counters as sorted unique uint64 flat
   keys with a parallel uint64 count array, the base. A write appends its
-  (keys, signed counts) arrays to a log, O(rows) for one item. The log is
-  folded in one sorted pass when a read needs it (``gather``, ``counters``
-  and the underflow check of ``subtract``) or when it holds more than
-  max(2**16, nnz) entries: the entries are sorted, summed by key and merged
-  into a sorted delta, which is merged into the base once it outgrows about
-  sqrt(nnz * rows) entries. A stream of writes thus costs O(rows log n)
-  amortized per item, n the log bound, whatever the number of nonzero
-  counters nnz, and the first read after writes pays their fold. The log
-  holds at most the bound plus one write, 16 bytes an entry: 1 MiB at the
-  2**16 floor, but the bound grows with nnz, so the log of a large build
-  can reach the size of the base, and a fold briefly needs a few arrays of
-  that size more. A read folds under the store's lock, so reads from
-  several threads at once are safe. A merge does not go through the log:
-  it joins the two stores' sorted counters in one sorted union.
+  (keys, signed counts) arrays to a log as they come, repeats included,
+  O(rows) for one item. The log is folded in one sorted pass when a read
+  needs it (``gather``, ``counters`` and the underflow check of
+  ``subtract``) or when it holds more than max(2**16, nnz) entries: the
+  entries are sorted, summed by key and merged into a sorted delta,
+  which is merged into the base once it outgrows about sqrt(nnz * rows)
+  entries. A stream of writes thus costs O(rows log n) amortized per
+  item, n the log bound, whatever the number of nonzero counters nnz,
+  and the first read after writes pays their fold. The log holds at most
+  the bound plus one write, 16 bytes an entry: 1 MiB at the 2**16 floor,
+  but the bound grows with nnz, so the log of a large build can reach
+  the size of the base, and a fold briefly needs a few arrays of that
+  size more. A read folds under the store's lock, so reads from several
+  threads at once are safe. A merge does not go through the log: it
+  joins the two stores' sorted counters in one sorted union.
 
-Callers keep every counter below 2**64, so adding sums without a 64-bit
-check; ``RaceSketch`` does so through its item count, which every row sums
-to and which it keeps below 2**64. Subtracting raises
-UnmatchedDeletionError when a counter would drop below 0, and leaves the
-store unchanged. Each store also writes and reads its row payloads of the
-sketch file (see ``racekde.sketch``) and checks that every row of a loaded
-payload sums to the header's item count.
+Callers keep every counter, and the counts one write gives one key, below
+2**64, so adding sums without a 64-bit check; ``RaceSketch`` does so
+through its item count, which every row sums to and which it keeps below
+2**64. Subtracting raises UnmatchedDeletionError when a counter would drop
+below 0, and leaves the store unchanged. Each store also writes and reads
+its row payloads of the sketch file (see ``racekde.sketch``) and checks
+that every row of a loaded payload sums to the header's item count.
 """
 
 from __future__ import annotations
@@ -82,19 +87,6 @@ def flat_keys(slots: np.ndarray, row_start: int, R: int) -> np.ndarray:
     axis holds one slot for each row from row_start on."""
     slots += _row_bases(row_start, slots.shape[-1], R)
     return slots
-
-
-def tally(slots: np.ndarray, row_start: int, R: int):
-    """(flat keys, counts) of the fresh uint64 slots of a chunk of points on
-    the rows from row_start on: a bincount when the chunk's span of flat
-    keys is no wider than its slots, else unique keys."""
-    local, first, span = flat_keys(slots, 0, R), row_start * R, slots.shape[-1] * R
-    if span <= local.size:
-        # local < span <= local.size, so the uint64 keys read as int64
-        counts = np.bincount(local.view(np.int64).ravel(), minlength=span)
-        return slice(first, first + span), counts.astype(np.uint64)
-    keys, counts = np.unique(local, return_counts=True)
-    return keys + np.uint64(first), counts.astype(np.uint64)
 
 
 def _width(vals: np.ndarray) -> int:
@@ -141,6 +133,17 @@ def _summed(keys: np.ndarray, vals: np.ndarray):
     keys, vals = keys[starts], np.add.reduceat(vals, starts)
     kept = vals != 0
     return (keys, vals) if kept.all() else (keys[kept], vals[kept])
+
+
+def _uint64(counts) -> np.ndarray:
+    """counts as uint64: a Python int would take the ufuncs' ``.at`` off
+    their fast path, 30 times slower."""
+    return np.asarray(counts, dtype=np.uint64)
+
+
+def _per_key(keys: np.ndarray, counts):
+    """keys, and their counts as uint64, as two flat arrays of one size."""
+    return keys.reshape(-1), np.broadcast_to(_uint64(counts), keys.shape).reshape(-1)
 
 
 def _log_limit(nnz: int) -> int:
@@ -190,24 +193,22 @@ class DenseStore:
         self.rows, self.R = rows, R
         self.counts = np.zeros((rows, R), dtype=np.uint64) if counts is None else counts
 
-    def _at(self, keys):
+    def gather(self, keys: np.ndarray) -> np.ndarray:
         # Dense flat keys fit int64, by which numpy indexes without a cast.
-        return self.counts.reshape(-1), keys if isinstance(keys, slice) else keys.view(np.int64)
+        return self.counts.reshape(-1)[keys.view(np.int64)]
 
-    def gather(self, keys) -> np.ndarray:
-        flat, idx = self._at(keys)
-        return flat[idx]
+    def add(self, keys: np.ndarray, counts) -> None:
+        np.add.at(self.counts.reshape(-1), keys.view(np.int64), _uint64(counts))
 
-    def add(self, keys, counts) -> None:
-        flat, idx = self._at(keys)
-        flat[idx] += counts
-
-    def subtract(self, keys, counts) -> None:
-        flat, idx = self._at(keys)
-        cur = flat[idx]
-        if np.count_nonzero(cur < counts):
+    def subtract(self, keys: np.ndarray, counts) -> None:
+        flat, idx = self.counts.reshape(-1), keys.view(np.int64)
+        before = flat[idx]
+        np.subtract.at(flat, idx, _uint64(counts))
+        # A counter that grew wrapped below 0; a repeated key gathered the
+        # same value each time, so writing back restores every counter.
+        if np.count_nonzero(flat[idx] > before):
+            flat[idx] = before
             raise UnmatchedDeletionError("counter underflow: vectors not present")
-        flat[idx] = cur - counts
 
     def counters(self):
         return slice(0, self.counts.size), self.counts.reshape(-1)
@@ -262,13 +263,15 @@ class SparseStore:
                 out += _lookup(self.dkeys, self.dvals, keys)
             return out
 
-    def add(self, keys, counts) -> None:
-        keys, counts = nonzero(keys, counts)
+    def add(self, keys: np.ndarray, counts) -> None:
         with self._lock:
-            self._write(keys, counts)
+            self._write(*_per_key(keys, counts))
 
-    def subtract(self, keys, counts) -> None:
-        keys, counts = nonzero(keys, counts)
+    def subtract(self, keys: np.ndarray, counts) -> None:
+        keys, counts = _per_key(keys, counts)
+        # One point's keys rise row by row; a chunk's may repeat.
+        if np.count_nonzero(keys[1:] <= keys[:-1]):
+            keys, counts = _summed(keys, counts)
         with self._lock:
             if np.count_nonzero(self.gather(keys) < counts):
                 raise UnmatchedDeletionError("counter underflow: vectors not present")

@@ -82,6 +82,7 @@ __all__ = [
     "slot_blocks",
     "slots_for_block",
     "check_points",
+    "check_vector",
     "derive_seed",
 ]
 
@@ -603,6 +604,15 @@ def check_points(cfg: LshConfig, X: np.ndarray) -> Tuple[np.ndarray, Optional[np
     return X, None if used.all() else np.flatnonzero(used)
 
 
+def check_vector(cfg: LshConfig, x: DataVector) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """x as a one-point matrix of its stored values and the input dimensions
+    they stand for (None for a dense x), as :func:`check_points` returns a
+    batch; raises DimensionMismatchError unless x has cfg's dimension."""
+    if x.dim != cfg.dim:
+        raise DimensionMismatchError(f"expected dim {cfg.dim}, got {x.dim}")
+    return x.values[None, :], x.indices
+
+
 def hash_matrix(cfg: LshConfig, X: np.ndarray) -> np.ndarray:
     """Slot indices for every (point, row) pair; X is (n, dim) dense.
 
@@ -627,19 +637,16 @@ def hash_all(cfg: LshConfig, x: DataVector) -> np.ndarray:
 
     A sparse x hashes against the columns of its nonzero dimensions only.
     """
-    if x.dim != cfg.dim:
-        raise DimensionMismatchError(f"expected dim {cfg.dim}, got {x.dim}")
-    return _slots(cfg, x.values[None, :], x.indices)[0]
+    return _slots(cfg, *check_vector(cfg, x))[0]
 
 
 def _row_codes(cfg: LshConfig, x: DataVector, row: int) -> np.ndarray:
     """Unfolded codes of x for one row: the packed srp code, or the p-tuple."""
-    if x.dim != cfg.dim:
-        raise DimensionMismatchError(f"expected dim {cfg.dim}, got {x.dim}")
+    X, dims = check_vector(cfg, x)
     if not 0 <= row < cfg.rows:
         raise IndexError("row out of range")
-    W, b, _ = _state(cfg, row, row + 1, x.indices)
-    return slots_for_block(cfg, x.values[None, :], W, b, None)[0, 0]
+    W, b, _ = _state(cfg, row, row + 1, dims)
+    return slots_for_block(cfg, X, W, b, None)[0, 0]
 
 
 def srp_hash(cfg: LshConfig, x: DataVector, row: int) -> int:

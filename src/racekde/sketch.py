@@ -16,11 +16,13 @@ median-of-means for concentration.
 
 Counters live in one of two stores of ``racekde.counters``, which owns
 the counter layout: a dense (rows, R) array, or sorted flat keys with a log
-of writes that reads fold in. A sketch hands ``counters`` the slots it
-hashed and gets back flat keys, chunk tallies and the file's row payloads
-with their counter width. Every method below goes through the store's
-interface, and the store changes the memory layout and the file size only,
-never a counter, an estimate or a merge result.
+of writes that reads fold in. Every write, a single ``add``/``remove`` or a
+batch, runs one chunk loop: each chunk of slots that ``lsh.slot_blocks``
+hashes becomes flat keys, which the store counts as they come. The store
+gives back the file's row payloads with their counter width. Every method
+below goes through the store's interface, and the store changes the memory
+layout and the file size only, never a counter, an estimate or a merge
+result.
 
 File format (little-endian), see ``serialize``:
 
@@ -49,13 +51,14 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .counters import STORES, SketchFormatError, UnmatchedDeletionError, flat_keys, nonzero, tally
+from .counters import STORES, SketchFormatError, UnmatchedDeletionError, flat_keys, nonzero
 from .io import PathOrFile, opened
 from .lsh import (
     Family,
     LshConfig,
     REHASH_FAMILY_ID,
     check_points,
+    check_vector,
     hash_all,
     slot_blocks,
 )
@@ -207,45 +210,35 @@ class RaceSketch:
             raise UnmatchedDeletionError("removing more items than the sketch holds")
         return self.items + n
 
-    def _update(self, x: DataVector, n: int, update) -> None:
-        """Apply the store's add or subtract to x's slots, and n to N."""
-        items = self._counted(n)
-        keys = flat_keys(hash_all(self.config, x), 0, self.config.hash_range)
-        update(keys, np.ones(keys.size, dtype=np.uint64))
+    def _update(self, X: np.ndarray, dims: Optional[np.ndarray], sign: int, apply, undo) -> None:
+        """Apply the store's add (sign 1) or subtract (sign -1) to the
+        checked points X, hashed against the columns dims, chunk by chunk of
+        ``slot_blocks``, and sign * n to N; all or nothing: when a chunk
+        raises (an l2/l1 hash code past int64, or a counter underflow), those
+        applied before it are hashed again and undone; no copy of the
+        counters is kept."""
+        items = self._counted(sign * X.shape[0])
+        R = self.config.hash_range
+        done = 0
+        try:
+            for r0, _r1, _n0, slots in slot_blocks(self.config, X, dims):
+                apply(flat_keys(slots, r0, R), 1)
+                del slots  # freed before the next chunk is hashed
+                done += 1
+        except (OverflowError, UnmatchedDeletionError):
+            for r0, _r1, _n0, slots in itertools.islice(slot_blocks(self.config, X, dims), done):
+                undo(flat_keys(slots, r0, R), 1)
+            raise
         self.items = items
 
     def add(self, x: DataVector) -> None:
         """Insert one vector: increments one counter per row and N."""
-        self._update(x, 1, self._store.add)
+        self._update(*check_vector(self.config, x), 1, self._store.add, self._store.subtract)
 
     def remove(self, x: DataVector) -> None:
         """Delete one previously-added vector; errors if it was never added
         (any touched counter at zero)."""
-        self._update(x, -1, self._store.subtract)
-
-    def _tallies(self, X: np.ndarray, dims: Optional[np.ndarray]):
-        """(flat keys, counts) of the checked points X hashed against the
-        columns dims, one pair per chunk of ``slot_blocks``."""
-        for r0, _r1, _n0, slots in slot_blocks(self.config, X, dims):
-            yield tally(slots, r0, self.config.hash_range)
-
-    def _update_matrix(self, X: np.ndarray, sign: int, apply, undo) -> None:
-        """Apply the store's add (sign 1) or subtract (sign -1) to the points
-        X chunk by chunk, all or nothing: when a chunk raises (an l2/l1 hash
-        code past int64, or a counter underflow), those applied before it are
-        hashed again and undone; no copy of the counters is kept."""
-        X, dims = check_points(self.config, X)
-        items = self._counted(sign * X.shape[0])
-        done = 0
-        try:
-            for block in self._tallies(X, dims):
-                apply(*block)
-                done += 1
-        except (OverflowError, UnmatchedDeletionError):
-            for block in itertools.islice(self._tallies(X, dims), done):
-                undo(*block)
-            raise
-        self.items = items
+        self._update(*check_vector(self.config, x), -1, self._store.subtract, self._store.add)
 
     def add_matrix(self, X: np.ndarray) -> None:
         """Bulk insert of dense points, one per matrix row; all or nothing.
@@ -253,12 +246,12 @@ class RaceSketch:
         The points hash against the columns of X that hold a nonzero, as in
         ``lsh.hash_matrix``, so a batch of densified sparse points costs
         O(n * used columns * rows * power), not O(n * dim * rows * power)."""
-        self._update_matrix(X, 1, self._store.add, self._store.subtract)
+        self._update(*check_points(self.config, X), 1, self._store.add, self._store.subtract)
 
     def remove_matrix(self, X: np.ndarray) -> None:
         """Bulk delete of previously-added dense points; all or nothing.
         The points hash against their used columns, as in ``add_matrix``."""
-        self._update_matrix(X, -1, self._store.subtract, self._store.add)
+        self._update(*check_points(self.config, X), -1, self._store.subtract, self._store.add)
 
     # ------------------------------------------------------------------ merge
 

@@ -85,13 +85,29 @@ def test_sparse_reads_fold_empty_and_cancelling_writes(monkeypatch):
 
 @pytest.mark.parametrize("store_cls", [DenseStore, SparseStore])
 def test_store_rejects_underflow_unchanged(store_cls):
+    """A subtract that would take a counter below 0 raises and leaves the
+    store unchanged, also when only a key's repeats take it there. Keys of
+    any shape and order count once per occurrence, and a counter at
+    2**64 - 1 can be decremented."""
     store = store_cls(2, 8)
     keys = np.array([3, 9], dtype=np.uint64)
     store.add(keys, np.array([2**64 - 1, 5], dtype=np.uint64))
     with pytest.raises(UnmatchedDeletionError):
         store.subtract(keys, np.array([1, 6], dtype=np.uint64))
     assert store.gather(keys).tolist() == [2**64 - 1, 5]
-    store.subtract(keys, np.array([2**64 - 1, 5], dtype=np.uint64))
+    store.subtract(keys[:1], 1)
+    store.subtract(np.array([3, 3], dtype=np.uint64), 1)
+    assert store.gather(keys).tolist() == [2**64 - 4, 5]
+    store.subtract(keys, np.array([2**64 - 4, 5], dtype=np.uint64))
+    assert not np.count_nonzero(store.dense())
+    repeated = np.array([[12, 1, 12], [7, 1, 12]], dtype=np.uint64)
+    store.add(repeated, 1)
+    touched = np.array([1, 7, 12], dtype=np.uint64)
+    assert store.gather(touched).tolist() == [2, 1, 3]
+    with pytest.raises(UnmatchedDeletionError):
+        store.subtract(np.array([7, 1, 12, 1, 1], dtype=np.uint64), 1)  # counter 1 holds 2
+    assert store.gather(touched).tolist() == [2, 1, 3]
+    store.subtract(repeated[::-1], 1)
     assert not np.count_nonzero(store.dense())
 
 

@@ -1,6 +1,7 @@
 """No racekde module imports or reads an underscore name of a sibling
-module, none but io opens a file, and the counter stores raise no
-OverflowError, so every rule stays behind the module that owns it."""
+module, none but io opens a file, none but counters counts keys, and the
+counter stores raise no OverflowError, so every rule stays behind the
+module that owns it."""
 
 import ast
 from pathlib import Path
@@ -95,3 +96,29 @@ def test_open_guard_sees_builtin_calls():
         "x = [open(p) for p in paths]\n"
     )
     assert list(builtin_open_calls(tree)) == [1, 5]
+
+
+def counting_calls(tree: ast.AST):
+    """Line numbers of the calls that count keys in a module: np.bincount,
+    np.unique and a ufunc's ``.at``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            numpy_call = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+            if func.attr == "at" or (numpy_call and func.attr in ("bincount", "unique")):
+                yield node.lineno
+
+
+# counters owns counting flat keys; every other module hands it the keys.
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "counters.py"])
+def test_only_counters_counts_keys(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    assert list(counting_calls(tree)) == []
+
+
+def test_count_guard_sees_counting_calls():
+    tree = ast.parse(
+        "np.add.at(a, i, 1)\nnp.bincount(k)\nx.unique()\nnumpy.unique(k)\n"
+        "np.add(a, b)\nnp.subtract.at(a, i, c)\nnp.intersect1d(a, b)\n"
+    )
+    assert list(counting_calls(tree)) == [1, 2, 4, 6]

@@ -553,8 +553,9 @@ def test_serialize_returns_the_size_written(tmp_path):
 def test_small_chunks_match_per_point_updates(case, hash_range, storage, monkeypatch):
     """add_matrix, remove_matrix and raw_query_matrix over ragged chunks of
     a few points and rows equal add, remove and raw_query point by point,
-    in either store, with the tally counting by bincount (range 4, below a
-    chunk's points) or by unique keys (every other range)."""
+    in either store, for chunks whose points repeat many keys (range 4,
+    below a chunk's points) and chunks whose keys are mostly distinct
+    (every other range)."""
     cfg, X, Q = small_chunk_case(case, monkeypatch, hash_range)
     bulk, loop = RaceSketch(cfg, storage), RaceSketch(cfg, storage)
     bulk.add_matrix(X)
@@ -586,6 +587,25 @@ def _mostly_zero_batch():
     return LshConfig("l1", 5000, 20.0, 1, 768, 64, 8), X
 
 
+def _bulk_add_peaks(cfg, X, sizes):
+    """The traced allocation peaks of warm add_matrix calls of the first n
+    points of X, for each n of sizes, which use the same columns."""
+    dims = lsh.check_points(cfg, X)[1]
+    for n in sizes:
+        assert dims is None or np.array_equal(lsh.check_points(cfg, X[:n])[1], dims)
+    RaceSketch(cfg).add_matrix(X)  # fills the projection cache
+    peaks = []
+    for n in sizes:
+        s = RaceSketch(cfg)
+        tracemalloc.start()
+        try:
+            s.add_matrix(X[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 def _check_bulk_add_peaks(cfg, X):
     """A warm add_matrix peaks at the same traced allocation for 250 and for
     4000 points: at most four chunk-sized buffers (the projections, reused
@@ -595,17 +615,7 @@ def _check_bulk_add_peaks(cfg, X):
     projections on a row chunk."""
     dims = lsh.check_points(cfg, X)[1]
     width = cfg.dim if dims is None else dims.size
-    assert dims is None or np.array_equal(lsh.check_points(cfg, X[:250])[1], dims)
-    RaceSketch(cfg).add_matrix(X)  # fills the projection cache
-    peaks = []
-    for n in (250, 4000):
-        s = RaceSketch(cfg)
-        tracemalloc.start()
-        try:
-            s.add_matrix(X[:n])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = _bulk_add_peaks(cfg, X, (250, 4000))
     chunk = 8 * lsh._CHUNK_ITEM_ROWS
     points, rows = lsh._chunk_shape(cfg, 4000, width)
     gathers = 0 if dims is None else 8 * (points + rows * cfg.power) * width
@@ -621,9 +631,22 @@ def test_bulk_add_memory_of_a_mostly_zero_batch_does_not_grow_with_the_points():
     _check_bulk_add_peaks(*_mostly_zero_batch())
 
 
+def test_bulk_add_frees_each_chunk_before_hashing_the_next():
+    """A warm add_matrix of one row chunk peaks alike over one point chunk
+    and over three: a chunk's slots are dropped before the next chunk is
+    hashed."""
+    cfg, X = LshConfig("l2", 5000, 2.0, 1, 256, 64, 9), _mostly_zero_batch()[1]
+    dims = lsh.check_points(cfg, X)[1]
+    assert [n0 for _r0, _r1, n0, _ in lsh.slot_blocks(cfg, X[:600], dims)] == [0, 256, 512]
+    peaks = _bulk_add_peaks(cfg, X, (250, 600))
+    assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+
+
 def _check_failed_bulk_updates(storage, zero_columns, monkeypatch):
-    """add_matrix and remove_matrix that fail in a later point chunk undo
-    the chunks applied before it."""
+    """add_matrix and remove_matrix that fail in a later point chunk, and a
+    remove that fails in a later row chunk, undo the chunks applied before
+    it; an add of a point whose codes pass int64 leaves the sketch as it
+    was."""
     cfg = l2_cfg(rows=20, hash_range=64)
     s = RaceSketch(cfg, storage)
     X = np.random.default_rng(29).normal(size=(9, 6))
@@ -645,6 +668,22 @@ def _check_failed_bulk_updates(storage, zero_columns, monkeypatch):
     assert s.to_bytes() == before
     with pytest.raises(UnmatchedDeletionError, match="more items"):
         s.remove_matrix(np.vstack([X, X]))
+    assert s.to_bytes() == before
+    one = X[7].copy()
+    one[np.flatnonzero(X[7])[0]] = 1e30
+    with pytest.raises(OverflowError, match="hash code exceeds 64 bits"):
+        s.add(DataVector.dense(one))
+    assert s.to_bytes() == before
+    # A single point spans the three row chunks; find one whose counters are
+    # all held in the first chunk and not in a later one.
+    assert [(r0, r1) for r0, r1, _n0, _ in lsh.slot_blocks(cfg, X[:1])] == [(0, 7), (7, 14), (14, 20)]
+    rng = np.random.default_rng(30)
+    nudges = (X[rng.integers(8, size=500)] + rng.normal(scale=0.3, size=(500, 6))) * (X[0] != 0)
+    held = s.raw_query_matrix(nudges)
+    late = nudges[held[:, :7].all(axis=1) & ~held.all(axis=1)]
+    assert late.size
+    with pytest.raises(UnmatchedDeletionError):
+        s.remove(DataVector.dense(late[0]))
     assert s.to_bytes() == before
     s.remove_matrix(X[:8])
     assert s.items == 0 and s == RaceSketch(cfg, storage)
