@@ -136,14 +136,14 @@ def _summed(keys: np.ndarray, vals: np.ndarray):
 
 
 def _uint64(counts) -> np.ndarray:
-    """counts as uint64: a Python int would take the ufuncs' ``.at`` off
-    their fast path, 30 times slower."""
+    """counts as uint64: a Python int takes the ufuncs' ``.at`` off their
+    fast path, about 30 times slower under numpy 2.4."""
     return np.asarray(counts, dtype=np.uint64)
 
 
 def _per_key(keys: np.ndarray, counts):
     """keys, and their counts as uint64, as two flat arrays of one size."""
-    return keys.reshape(-1), np.broadcast_to(_uint64(counts), keys.shape).reshape(-1)
+    return keys.reshape(-1), np.full(keys.shape, counts, dtype=np.uint64).reshape(-1)
 
 
 def _log_limit(nnz: int) -> int:

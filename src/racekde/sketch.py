@@ -213,10 +213,10 @@ class RaceSketch:
     def _update(self, X: np.ndarray, dims: Optional[np.ndarray], sign: int, apply, undo) -> None:
         """Apply the store's add (sign 1) or subtract (sign -1) to the
         checked points X, hashed against the columns dims, chunk by chunk of
-        ``slot_blocks``, and sign * n to N; all or nothing: when a chunk
-        raises (an l2/l1 hash code past int64, or a counter underflow), those
-        applied before it are hashed again and undone; no copy of the
-        counters is kept."""
+        ``slot_blocks``, and add sign * len(X) to N. All or nothing: when a
+        chunk raises (an l2/l1 hash code past int64, or a counter
+        underflow), the chunks applied before it are hashed again and
+        undone; no copy of the counters is kept."""
         items = self._counted(sign * X.shape[0])
         R = self.config.hash_range
         done = 0

@@ -609,10 +609,10 @@ def _bulk_add_peaks(cfg, X, sizes):
 def _check_bulk_add_peaks(cfg, X):
     """A warm add_matrix peaks at the same traced allocation for 250 and for
     4000 points: at most four chunk-sized buffers (the projections, reused
-    for the codes, the table positions, the slots and the chunk before's
-    slots) plus two counter tallies of a chunk, and, for a batch with
-    all-zero columns, one chunk of its used columns and their cached
-    projections on a row chunk."""
+    for the codes, the table positions, the slots and their flat keys) plus
+    two row chunks' worth of counters, and, for a batch with all-zero
+    columns, one chunk of its used columns and their cached projections on
+    a row chunk."""
     dims = lsh.check_points(cfg, X)[1]
     width = cfg.dim if dims is None else dims.size
     peaks = _bulk_add_peaks(cfg, X, (250, 4000))
