@@ -124,8 +124,11 @@ def _union(k1: np.ndarray, v1: np.ndarray, k2: np.ndarray, v2: np.ndarray):
 def _summed(keys: np.ndarray, vals: np.ndarray):
     """The distinct keys, sorted, with their counts summed modulo 2**64;
     keys whose sum is 0 are dropped."""
-    order = np.argsort(keys)
-    keys, vals = keys[order], vals[order]
+    if np.count_nonzero(vals != vals[:1]):
+        order = np.argsort(keys)
+        keys, vals = keys[order], vals[order]
+    else:  # every count alike, as in a log of adds only: sorting the keys will do
+        keys = np.sort(keys)
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
