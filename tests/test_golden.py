@@ -21,6 +21,8 @@ collision kernels, and batches of densified sparse points, most of whose
 columns are all zero, under cached and over-cap configs. One case takes
 every way a write reaches the counters: single adds and removes, and bulk
 updates of wide, deep and one-point chunks, into dense and sparse stores.
+One case slides a window of single sparse points with no read between
+updates, so each remove finds its point still in the store's log.
 """
 
 import hashlib
@@ -29,7 +31,9 @@ import struct
 import numpy as np
 import pytest
 
-from racekde import DataVector, LshConfig, RaceSketch, hash_all, hash_matrix, kernels, lsh
+from racekde import (
+    DataVector, LshConfig, RaceSketch, UnmatchedDeletionError, hash_all, hash_matrix, kernels, lsh,
+)
 
 DENSE_L2 = LshConfig("l2", 32, 2.0, 1, 256, 64, 11)
 SRP = LshConfig("srp", 64, 0.0, 4, 64, 16, 12)
@@ -374,12 +378,31 @@ def case_store_counting():
     return out
 
 
+def case_sparse_logged_window():
+    """A sliding window of 3 over 120 single sparse points with no read
+    between updates, so each remove finds its point still in the log; then
+    a remove of a point never added, refused, and removes of points a read
+    folded into the base before the stream."""
+    X, vecs = _sparse_points(180, 24)
+    s = _built(SPARSE_L1, X[:20])
+    out = [s.raw_query_matrix(X[160:]).tobytes()]
+    for t, x in enumerate(vecs[20:140]):
+        s.add(x)
+        if t >= 3:
+            s.remove(vecs[20 + t - 3])
+    with pytest.raises(UnmatchedDeletionError):
+        s.remove(vecs[150])
+    for x in vecs[:4]:
+        s.remove(x)
+    return out + [s.to_bytes(), s.raw_query_matrix(X[160:]).tobytes(), _estimates(s, X[160:175])]
+
+
 CASES = {f.__name__[5:]: f for f in (
     case_dense_l2, case_srp, case_sparse_add_stream, case_sparse_window,
     case_sparse_matrix_updates, case_sparse_merge, case_storages_merge, case_srp_powers,
     case_l2_powers, case_l1_powers, case_l1_mixed_fold, case_over_cap, case_hash_all_dense,
     case_staged_merge_chains, case_staged_to_bytes, case_hash_all_sparse, case_kernel_values,
-    case_batch_used_columns, case_store_counting,
+    case_batch_used_columns, case_store_counting, case_sparse_logged_window,
 )}
 
 DIGESTS = {
@@ -401,6 +424,7 @@ DIGESTS = {
     "staged_merge_chains": "e34d7cadf72042c137266b99a267b19e107502fdca7936c36d38f9ea7d8df1ca",
     "staged_to_bytes": "43d4e494de17e45c13b29b2c1a2646ba0e39a7205c3551b78081f5ed1e0c1c1c",
     "storages_merge": "1127055c7ed75a0c2e32a0ac52e66bf96c4c73b4ba920a823d350496bbd27316",
+    "sparse_logged_window": "1cdcf8ceaf392031aca1983bd49d22a77af7c387c66baeb63fc3eb9d58da9a4c",
     "store_counting": "09a970c845619989a01956fb29cd47a1eabf847b1993838ce433e0bb8b38eae8",
 }
 
