@@ -212,3 +212,40 @@ def test_sparse_merge_is_one_union_of_sorted_counters():
     for merged in (parts[0].merge(parts[1]), parts[0].merge(dense)):
         assert not merged._store._log and not merged._store.dkeys.size
         assert merged == joint and merged.to_bytes() == joint.to_bytes()
+
+
+def test_single_point_remove_reads_the_log_in_place(monkeypatch):
+    """A single remove reads the logged single points in place and logs
+    itself, refusing a point never added with the log unchanged; after a
+    bulk write, or once the logged points pass the compare bound, it folds
+    the log first."""
+    cfg = LshConfig("l1", 6, 1.0, 1, 8, 5000, 9)
+    X = np.random.default_rng(21).normal(size=(12, 6))
+    s = RaceSketch(cfg, "sparse")
+    for x in X[:5]:
+        s.add(DataVector.dense(x))
+    s.remove(DataVector.dense(X[2]))
+    assert len(s._store._log) == 6 and s._store._npoints == 6
+    for x in (X[2], X[11]):  # removed already, never added
+        with pytest.raises(UnmatchedDeletionError):
+            s.remove(DataVector.dense(x))
+    assert len(s._store._log) == 6 and s.items == 4
+    s.add_matrix(X[5:8])
+    s.remove(DataVector.dense(X[0]))  # folds the bulk write first
+    assert len(s._store._log) == 1 and s._store._npoints == 1
+    monkeypatch.setattr(counters, "_point_limit", lambda: 2 * cfg.rows)
+    s.raw_query_matrix(X[:1])
+    for x in X[8:11]:
+        s.add(DataVector.dense(x))
+    assert len(s._store._log) == 3 and s._store._npoints == 2
+    s.remove(DataVector.dense(X[9]))  # the third add is not indexed
+    assert len(s._store._log) == 1
+    fresh = RaceSketch(cfg, "sparse")
+    fresh.add_matrix(X[[1, 3, 4, 5, 6, 7, 8, 10]])
+    assert s == fresh and s.to_bytes() == fresh.to_bytes()
+    # Keys of a point's shape that do not hold one key per row are no point.
+    store = SparseStore(2, 8)
+    store.add(np.array([[5, 3]], dtype=np.uint64), 1)
+    store.add(np.array([[1, 11]], dtype=np.uint64), 1)
+    store.subtract(np.array([[3, 11]], dtype=np.uint64), 1)
+    assert store.gather(np.array([1, 3, 5, 11], dtype=np.uint64)).tolist() == [1, 0, 1, 0]

@@ -179,3 +179,78 @@ def test_logged_sparse_writes_match_a_dense_twin(cfg, seed, steps, log_bound, de
                 assert twin.to_bytes() == before
             assert s == twin
             assert s.to_bytes() == RaceSketch(cfg, "sparse").merge(twin).to_bytes()
+
+
+
+point_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, POOL - 1)),
+        # below POOL a position among the points present, below 2 * POOL
+        # one among the points removed, and 2 * POOL a point never added
+        st.tuples(st.just("remove"), st.integers(0, 2 * POOL)),
+        st.tuples(
+            st.sampled_from(["add_matrix", "remove_matrix"]),
+            st.lists(st.integers(0, POOL - 1), min_size=1, max_size=4),
+        ),
+        st.tuples(st.just("read"), st.just(0)),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(configs(), st.integers(0, 2**32 - 1), point_ops, st.sampled_from([None, 40, 5, 0]),
+       st.sampled_from([None, 3, 1]))
+def test_single_point_removes_match_a_dense_twin(cfg, seed, steps, log_bound, point_bound):
+    """At the default chunking, where one add or remove writes one point
+    over every row, a sparse sketch reads like a dense-store twin whatever
+    its single removes hit: points still in the log, which they read in
+    place, points a read or a bound folded, and points removed already or
+    never added, which both refuse unchanged, a refusal read in place
+    leaving the log as it was. Bulk writes in the log, and a compare bound
+    patched to a few points, make a remove fold first."""
+    pool = np.random.default_rng(seed).normal(size=(POOL + 1, DIM))
+    assert lsh._chunk_shape(cfg, 1, DIM) == (1, cfg.rows)
+    with pytest.MonkeyPatch.context() as mp:
+        if log_bound is not None:
+            mp.setattr(counters, "_log_limit", lambda nnz: log_bound)
+        if point_bound is not None:
+            mp.setattr(counters, "_point_limit", lambda: point_bound * cfg.rows)
+        s, twin = RaceSketch(cfg, "sparse"), RaceSketch(cfg, "dense")
+        present, gone = [], []  # pool indices of the points added and removed
+        for name, arg in steps:
+            if name == "read":
+                assert s == twin
+                continue
+            if name == "remove":
+                if arg < POOL and present:
+                    arg = present[arg % len(present)]
+                elif POOL <= arg < 2 * POOL and gone:
+                    arg = gone[arg % len(gone)]
+                else:
+                    arg = POOL
+            before, logged, in_place = twin.to_bytes(), len(s._store._log), s._store._points_only()
+            raised = []
+            for sketch in (s, twin):
+                try:
+                    if name in ("add", "remove"):
+                        getattr(sketch, name)(DataVector.dense(pool[arg]))
+                    else:
+                        getattr(sketch, name)(pool[arg])
+                except UnmatchedDeletionError:
+                    raised.append(sketch.storage)
+            assert raised in ([], ["sparse", "dense"])
+            if raised:
+                assert twin.to_bytes() == before
+                if name == "remove" and in_place:
+                    assert len(s._store._log) == logged
+            elif name.startswith("add"):
+                present += np.atleast_1d(arg).tolist()
+            else:
+                for i in np.atleast_1d(arg).tolist():
+                    gone.append(i)
+                    if i in present:
+                        present.remove(i)
+        assert s == twin
+        assert s.to_bytes() == RaceSketch(cfg, "sparse").merge(twin).to_bytes()
