@@ -284,6 +284,7 @@ class SparseStore:
         # _point_limit() keys, and how many points they hold.
         self._points = self._signs = None
         self._npoints = 0
+        self._bases = None  # the flat key of each row's slot 0
         self._lock = threading.RLock()
 
     def gather(self, keys: np.ndarray) -> np.ndarray:
@@ -301,12 +302,11 @@ class SparseStore:
     def _is_point(self, keys: np.ndarray, counts) -> bool:
         """Whether a write is one point: a count of 1 at (1, rows) keys that
         hold row r's key at position r, as ``flat_keys`` gives them."""
-        return (
-            keys.shape == (1, self.rows)
-            and isinstance(counts, int)
-            and counts == 1
-            and not np.count_nonzero(keys[0] - _row_bases(0, self.rows, self.R) >= self.R)
-        )
+        if keys.shape != (1, self.rows) or not (isinstance(counts, int) and counts == 1):
+            return False
+        if self._bases is None:  # made at the first such write: rows may be many
+            self._bases = _row_bases(0, self.rows, self.R)
+        return not np.count_nonzero(keys[0] - self._bases >= np.uint64(self.R))
 
     def _points_only(self) -> bool:
         """Whether the index holds every logged entry."""

@@ -161,6 +161,54 @@ def test_concurrent_reads_fold_the_log_once():
     assert errors == []
 
 
+def test_concurrent_point_writes_and_reads_keep_every_count():
+    """Threads adding and removing single points on one sparse store, while
+    another reads it and so folds the log, never see a remove refused and
+    leave the counts of the points still added: the index of logged points
+    is written and cleared under the store's lock."""
+    rows, R = 16, 50
+    store = SparseStore(rows, R)
+    kept, errors = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    done = threading.Event()
+
+    def write(seed):
+        rng = np.random.default_rng(seed)
+        points = [counters.flat_keys(rng.integers(0, R, size=(1, rows)).astype(np.uint64), 0, R)
+                  for _ in range(150)]
+        try:
+            for i, keys in enumerate(points):
+                store.add(keys, 1)
+                if i >= 3:
+                    store.subtract(points[i - 3], 1)
+        except UnmatchedDeletionError:
+            errors.append("a remove of a point present was refused")
+        kept.extend(points[-3:])
+
+    def read():
+        while not done.is_set():
+            store.gather(np.arange(rows * R, dtype=np.uint64))
+
+    try:
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=write, args=(seed,)) for seed in range(5)]
+        reader.start()
+        for t in writers:
+            t.start()
+        for t in writers:
+            t.join(timeout=60)
+        done.set()
+        reader.join(timeout=60)
+        assert not reader.is_alive() and not any(t.is_alive() for t in writers)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert errors == []
+    want = np.zeros(rows * R, dtype=np.uint64)
+    np.add.at(want, np.concatenate(kept).reshape(-1).astype(np.int64), 1)
+    assert np.array_equal(store.dense().reshape(-1), want)
+
 def test_sparse_sketch_with_a_log_copies_and_pickles():
     cfg = LshConfig("l1", 6, 1.0, 1, 8, 100_000, 9)
     X = np.random.default_rng(11).normal(size=(5, 6))
