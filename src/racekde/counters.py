@@ -175,8 +175,8 @@ def _log_limit(nnz: int) -> int:
 def _point_limit() -> int:
     """Logged entries that a single-point remove reads in place at most.
     Unbounded, the compare grows with the log, whose bound grows with nnz:
-    at 7.3e5 nonzeros (l2, L=500, R=1e5) the median remove took 598 us,
-    against 352 us at 2**16, on a 2 vCPU Xeon under numpy 2.4."""
+    at 7.3e5 nonzeros (l2, L=500, R=1e5) the median remove took 556-617
+    us, against 249-254 us at 2**16, on a 2 vCPU Xeon under numpy 2.4."""
     return 2**16
 
 
